@@ -6,7 +6,6 @@ the jumps alone, and reports the deviations together with the
 recovered degeneration data.
 
     python3 scripts/roundtrip_demo.py --seed 5 -n 3 -N 10 --cuts 2
-    python3 scripts/roundtrip_demo.py --sweep
 """
 
 import argparse
@@ -43,28 +42,6 @@ def run_once(args):
     print("max initial-value deviation from identity: %.3e" % tdev)
 
 
-def run_sweep(args):
-    print("max round-trip deviation by size (7 draws each, tol_zero=%g)"
-          % args.tol_zero)
-    print("%4s %4s %6s %12s" % ("n", "N", "j0mix", "max dev"))
-    for n in (1, 2, 3):
-        for N in range(n + 1, 13):
-            rng = np.random.default_rng(args.seed + 100 * n + N)
-            worst = 0.0
-            j0s = set()
-            for rep in range(7):
-                j0 = rep % n if N >= n + 2 else 0
-                j0s.add(j0)
-                A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
-                res = bs.reconstruct(
-                    bs.canonical_spectral_function(A),
-                    tol_zero=args.tol_zero)
-                worst = max(worst, float(np.max(np.abs(
-                    bs.to_dense(res.matrix) - bs.to_dense(A)))))
-            print("%4d %4d %6s %12.3e"
-                  % (n, N, ",".join(str(j) for j in sorted(j0s)), worst))
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -74,13 +51,7 @@ def main():
                         help="number of genuine degeneration cuts")
     parser.add_argument("--tol-zero", type=float, default=1e-10,
                         help="zero-norm decision threshold")
-    parser.add_argument("--sweep", action="store_true",
-                        help="print a deviation table over all desk sizes")
-    args = parser.parse_args()
-    if args.sweep:
-        run_sweep(args)
-    else:
-        run_once(args)
+    run_once(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from .vecpoly import (
     basis_vector,
     evaluate,
     height,
-    is_interpolation_solution,
     linear_combine,
     shift_mul,
     trim_small,
@@ -76,7 +75,6 @@ from .reconstruct import (
     initial_conditions,
     matrix_from_basis,
     reconstruct,
-    rescaled_sigma,
 )
 from .springchain import (
     SpringChain,
@@ -90,8 +88,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors", "sampling",
     "NEG_INF", "VecPoly", "basis_vector", "evaluate", "height",
-    "is_interpolation_solution", "linear_combine", "shift_mul",
-    "trim_small", "vec_poly", "zero_poly",
+    "linear_combine", "shift_mul", "trim_small", "vec_poly", "zero_poly",
     "BandMatrix", "DegenerationProfile", "RecurrenceTable",
     "TriangularInit", "generator_matrix", "rank_defect", "shrink_band",
     "solve_recurrence", "to_dense", "validate_band",
@@ -101,7 +98,7 @@ __all__ = [
     "transform_spectral_function", "validate_sigma",
     "Orthogonalization", "Reconstruction", "gram_schmidt",
     "height_degeneration_indices", "initial_conditions",
-    "matrix_from_basis", "reconstruct", "rescaled_sigma",
+    "matrix_from_basis", "reconstruct",
     "SpringChain", "build_spring_matrix", "continued_fraction_check",
     "frequencies",
 ]

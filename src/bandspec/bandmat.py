@@ -31,7 +31,7 @@ from .errors import (
     ZeroPivot,
 )
 from . import vecpoly
-from .vecpoly import VecPoly, linear_combine, shift_mul
+from .vecpoly import linear_combine, shift_mul
 
 
 @dataclass(frozen=True)
@@ -369,11 +369,14 @@ def rank_defect(table, z, tol=1e-9):
     base = max(1.0, abs(z))
     mass = 0.0
     for q in table.generators:
-        for c in q.comps:
-            acc = 0.0
-            for d, v in enumerate(c):
-                acc += abs(v) * base ** d
-            mass = max(mass, acc)
+        # row d, column j: |coefficient of z**d in component j + 1| * base**d
+        rows = len(q.coef) // q.n + 1
+        grid = np.zeros(rows * q.n)
+        grid[: len(q.coef)] = np.abs(q.coef)
+        grid = grid.reshape(rows, q.n) * np.array([[base ** d] for d in range(rows)])
+        # cumsum adds strictly in ascending degree; np.sum would sum
+        # pairwise and round differently
+        mass = max(mass, float(grid.cumsum(axis=0)[-1].max()))
     svals = np.linalg.svd(M, compute_uv=False)
     thresh = tol * max(float(svals[0]), mass)
     if thresh == 0.0:

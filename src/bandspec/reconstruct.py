@@ -41,7 +41,7 @@ from .errors import (
 from . import vecpoly
 from .vecpoly import linear_combine, trim_small
 from .bandmat import BandMatrix, TriangularInit, validate_band
-from .spectral import Jump, SpectralFunction, validate_sigma
+from .spectral import validate_sigma
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,6 @@ class Reconstruction:
     profile: object
     tinit: TriangularInit
     diagnostics: Orthogonalization
-
-
-def rescaled_sigma(sigma, scale, center):
-    """Copy of sigma with nodes mapped through y = (x - center)/scale.
-
-    Coefficient vectors are unchanged, so inner products of polynomials
-    in y against the result equal inner products of the corresponding
-    x-polynomials against the original."""
-    return SpectralFunction(
-        sigma.n,
-        tuple(Jump((j.x - center) / scale, j.alpha) for j in sigma.jumps),
-    )
 
 
 def height_degeneration_indices(gs):
@@ -315,18 +303,17 @@ def initial_conditions(gs):
     input really was a spectral function.
     """
     n = gs.basis[0].n
-    rows = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        p = gs.basis[j]
-        for i, comp in enumerate(p.comps):
-            if len(comp) > 1:
-                raise NotTriangular(
-                    "basis member %d is not constant (height %d); the "
-                    "input cannot come from an admissible matrix"
-                    % (j + 1, gs.basis_heights[j])
-                )
-            rows[i][j] = comp[0] if comp else 0.0
-    return TriangularInit(n, tuple(tuple(r) for r in rows))
+    T = np.zeros((n, n))
+    for j, p in enumerate(gs.basis[:n]):
+        # heights 0 .. n-1 are exactly the constant terms
+        if len(p.coef) > n:
+            raise NotTriangular(
+                "basis member %d is not constant (height %d); the "
+                "input cannot come from an admissible matrix"
+                % (j + 1, gs.basis_heights[j])
+            )
+        T[: len(p.coef), j] = p.coef
+    return TriangularInit(n, tuple(map(tuple, T)))
 
 
 def reconstruct(sigma, tol_zero=1e-8, verify_band=False):

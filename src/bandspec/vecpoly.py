@@ -9,16 +9,20 @@ which totally orders the monomial slots (component j, degree d) and is
 compatible with multiplication by the variable: multiplying a nonzero
 vector polynomial by z raises its height by exactly n.
 
-Coefficients are stored ascending by degree and kept in canonical
-trimmed form: the stored leading coefficient of every nonzero component
-is nonzero, and a zero component stores no coefficients at all.
-Trimming compares against exact zero only; construction never
-introduces spurious tiny coefficients by itself.
+Coefficients are stored in one read-only float64 array indexed by
+height: entry h is the coefficient of z**(h // n) in component
+(h mod n) + 1.  The array is kept in canonical trimmed form, its last
+entry nonzero, so its length is the height plus one and the zero
+polynomial stores no coefficients at all.  Trimming compares against
+exact zero only; construction never introduces spurious tiny
+coefficients by itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DimensionMismatch, MixedDimension
 
@@ -35,24 +39,43 @@ def _trim(coeffs):
     return tuple(float(v) for v in c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VecPoly:
     """Immutable vector polynomial.
 
-    comps[j] holds the ascending coefficients of component j+1; a zero
-    component is the empty tuple.  Instances are created through
-    :func:`vec_poly` (or the other constructors below), which normalize
-    to canonical trimmed form.
+    coef[h] holds the coefficient at height h; see the module
+    docstring.  Instances are created through :func:`vec_poly` (or the
+    other constructors below), which normalize to canonical trimmed
+    form.  Equality and hashing go by value.
     """
 
-    comps: tuple
+    n: int
+    coef: np.ndarray
 
     @property
-    def n(self):
-        return len(self.comps)
+    def comps(self):
+        """Per-component ascending coefficient tuples; a zero component
+        is the empty tuple."""
+        return tuple(_trim(self.coef[j::self.n]) for j in range(self.n))
 
     def is_zero(self):
-        return all(len(c) == 0 for c in self.comps)
+        return len(self.coef) == 0
+
+    def __eq__(self, other):
+        if not isinstance(other, VecPoly):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.coef, other.coef)
+
+    def __hash__(self):
+        return hash((self.n, tuple(self.coef.tolist())))
+
+
+def _canonical(n, coef):
+    """VecPoly owning coef, trimmed to its last nonzero entry."""
+    nonzero = np.flatnonzero(coef)
+    coef = coef[: nonzero[-1] + 1] if len(nonzero) else coef[:0]
+    coef.flags.writeable = False
+    return VecPoly(n, coef)
 
 
 def vec_poly(components):
@@ -64,17 +87,21 @@ def vec_poly(components):
         One coefficient sequence per component.  Trailing exact zeros
         are trimmed; an empty sequence is the zero component.
     """
-    comps = tuple(_trim(c) for c in components)
+    comps = [_trim(c) for c in components]
     if not comps:
         raise DimensionMismatch("a vector polynomial needs at least one component")
-    return VecPoly(comps)
+    n = len(comps)
+    coef = np.zeros(n * max(len(c) for c in comps))
+    for j, c in enumerate(comps):
+        coef[j : j + n * len(c) : n] = c
+    return _canonical(n, coef)
 
 
 def zero_poly(n):
     """The zero vector polynomial with n components."""
     if n < 1:
         raise DimensionMismatch("component count must be >= 1, got %d" % n)
-    return VecPoly(((),) * n)
+    return _canonical(n, np.zeros(0))
 
 
 def basis_vector(i, n):
@@ -87,32 +114,18 @@ def basis_vector(i, n):
     """
     if i < 1 or n < 1:
         raise DimensionMismatch("need i >= 1 and n >= 1, got i=%d n=%d" % (i, n))
-    slot = (i - 1) % n
-    deg = (i - 1) // n
-    comps = [()] * n
-    comps[slot] = (0.0,) * deg + (1.0,)
-    return VecPoly(tuple(comps))
-
-
-def degree(coeffs):
-    """Degree of one trimmed coefficient tuple (NEG_INF when empty)."""
-    return len(coeffs) - 1 if coeffs else NEG_INF
+    coef = np.zeros(i)
+    coef[i - 1] = 1.0
+    return _canonical(n, coef)
 
 
 def height(p):
     """Height of a vector polynomial.
 
     Returns an int for nonzero input and NEG_INF for the zero
-    polynomial.  The maximum runs over nonzero components only.
+    polynomial.
     """
-    n = p.n
-    best = NEG_INF
-    for j, c in enumerate(p.comps):
-        if c:
-            h = n * (len(c) - 1) + j
-            if h > best:
-                best = h
-    return best
+    return len(p.coef) - 1 if len(p.coef) else NEG_INF
 
 
 def evaluate(p, x):
@@ -135,7 +148,7 @@ def shift_mul(p):
     Raises every nonzero component degree by one, hence the height by
     exactly n.  The zero polynomial maps to itself.
     """
-    return VecPoly(tuple((0.0,) + c if c else () for c in p.comps))
+    return _canonical(p.n, np.concatenate([np.zeros(p.n), p.coef]))
 
 
 def linear_combine(terms):
@@ -150,7 +163,8 @@ def linear_combine(terms):
     Returns
     -------
     VecPoly
-        sum_k c_k * p_k in canonical trimmed form.
+        sum_k c_k * p_k in canonical trimmed form, accumulated term by
+        term in the order given.
 
     Raises
     ------
@@ -167,15 +181,10 @@ def linear_combine(terms):
                 "cannot combine vector polynomials with %d and %d components"
                 % (n, p.n)
             )
-    comps = []
-    for j in range(n):
-        length = max(len(p.comps[j]) for _, p in terms)
-        acc = [0.0] * length
-        for c, p in terms:
-            for d, v in enumerate(p.comps[j]):
-                acc[d] += c * v
-        comps.append(_trim(acc))
-    return VecPoly(tuple(comps))
+    acc = np.zeros(max(len(p.coef) for _, p in terms))
+    for c, p in terms:
+        acc[: len(p.coef)] += c * p.coef
+    return _canonical(n, acc)
 
 
 def trim_small(p, rel=1e-12):
@@ -185,45 +194,7 @@ def trim_small(p, rel=1e-12):
     where exact cancellations leave rounding dust.  The zero polynomial
     passes through unchanged.
     """
-    top = 0.0
-    for c in p.comps:
-        for v in c:
-            if abs(v) > top:
-                top = abs(v)
-    if top == 0.0:
+    if p.is_zero():
         return p
-    cut = rel * top
-    return VecPoly(
-        tuple(_trim(0.0 if abs(v) <= cut else v for v in c) for c in p.comps)
-    )
-
-
-def is_interpolation_solution(p, sigma, tol):
-    """Whether p lies in the zero class of sigma's inner product.
-
-    True iff the jump-wise quadratic form (alpha(x_k) . p(x_k))**2 is
-    below tol * scale at every jump, where the scale accounts for the
-    node magnitudes and the coefficient mass of p, so the answer is
-    invariant under rescaling p.
-
-    ``sigma`` may be any object with attributes ``n`` and ``jumps``,
-    each jump carrying a node ``x`` and a coefficient vector ``alpha``
-    of length n.
-    """
-    if p.n != sigma.n:
-        raise DimensionMismatch(
-            "polynomial has %d components, spectral function expects %d"
-            % (p.n, sigma.n)
-        )
-    maxdeg = max(degree(c) for c in p.comps)
-    if maxdeg == NEG_INF:
-        return True
-    coeff_sq = sum(v * v for c in p.comps for v in c)
-    xtop = max(abs(jump.x) for jump in sigma.jumps)
-    scale = (1.0 + xtop) ** (2 * maxdeg) * coeff_sq
-    for jump in sigma.jumps:
-        vals = evaluate(p, jump.x)
-        form = sum(a * v for a, v in zip(jump.alpha, vals))
-        if form * form > tol * scale:
-            return False
-    return True
+    mag = np.abs(p.coef)
+    return _canonical(p.n, np.where(mag <= rel * mag.max(), 0.0, p.coef))

@@ -6,9 +6,23 @@ straight from a discrete measure by the classical three-term
 recurrence, representing polynomials by their values at the nodes.
 It never touches the package's vector-polynomial machinery, so
 agreement between the two routes is meaningful evidence.
+
+The ref_* functions are a pure-Python reference for the vector
+polynomial operations on per-component coefficient tuples (ascending
+degree, trailing zeros trimmed, a zero component empty).  They use the
+same floating-point operations in the same order as the package, so the
+two must agree bit for bit.
+
+is_interpolation_solution tests zero-class membership of a vector
+polynomial directly at the jumps of a spectral function.
 """
 
+import math
+
 import numpy as np
+
+import bandspec as bs
+from bandspec.errors import DimensionMismatch
 
 
 def stieltjes_jacobi(nodes, weights):
@@ -41,3 +55,93 @@ def stieltjes_jacobi(nodes, weights):
         off.append(b)
         p_prev, p_cur = p_cur, t / b
     return diag, off, 1.0 / np.sqrt(mass)
+
+
+def ref_trim(coeffs):
+    """Drop trailing exact zeros, returning an ascending tuple."""
+    c = [float(v) for v in coeffs]
+    while c and c[-1] == 0.0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_height(comps):
+    """max_j (n * deg(R_j) + j) over nonzero components, -inf if none."""
+    n = len(comps)
+    return max((n * (len(c) - 1) + j for j, c in enumerate(comps) if c),
+               default=-math.inf)
+
+
+def ref_evaluate(comps, x):
+    """Componentwise Horner evaluation."""
+    out = []
+    for c in comps:
+        acc = 0.0
+        for v in reversed(c):
+            acc = acc * x + v
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_shift_mul(comps):
+    """Multiply every component by the variable."""
+    return tuple((0.0,) + c if c else () for c in comps)
+
+
+def ref_linear_combine(terms):
+    """sum_k c_k * comps_k, accumulated term by term per coefficient."""
+    n = len(terms[0][1])
+    out = []
+    for j in range(n):
+        acc = [0.0] * max(len(comps[j]) for _, comps in terms)
+        for c, comps in terms:
+            for d, v in enumerate(comps[j]):
+                acc[d] += c * v
+        out.append(ref_trim(acc))
+    return tuple(out)
+
+
+def ref_trim_small(comps, rel=1e-12):
+    """Zero every coefficient at or below rel * (largest magnitude)."""
+    top = max((abs(v) for c in comps for v in c), default=0.0)
+    if top == 0.0:
+        return comps
+    cut = rel * top
+    return tuple(ref_trim(0.0 if abs(v) <= cut else v for v in c)
+                 for c in comps)
+
+
+def degree(coeffs):
+    """Degree of one trimmed coefficient tuple (-inf when empty)."""
+    return len(coeffs) - 1 if coeffs else bs.NEG_INF
+
+
+def is_interpolation_solution(p, sigma, tol):
+    """Whether p lies in the zero class of sigma's inner product.
+
+    True iff the jump-wise quadratic form (alpha(x_k) . p(x_k))**2 is
+    below tol * scale at every jump, where the scale accounts for the
+    node magnitudes and the coefficient mass of p, so the answer is
+    invariant under rescaling p.
+
+    ``sigma`` may be any object with attributes ``n`` and ``jumps``,
+    each jump carrying a node ``x`` and a coefficient vector ``alpha``
+    of length n.
+    """
+    if p.n != sigma.n:
+        raise DimensionMismatch(
+            "polynomial has %d components, spectral function expects %d"
+            % (p.n, sigma.n)
+        )
+    maxdeg = max(degree(c) for c in p.comps)
+    if maxdeg == bs.NEG_INF:
+        return True
+    coeff_sq = sum(v * v for c in p.comps for v in c)
+    xtop = max(abs(jump.x) for jump in sigma.jumps)
+    scale = (1.0 + xtop) ** (2 * maxdeg) * coeff_sq
+    for jump in sigma.jumps:
+        vals = bs.evaluate(p, jump.x)
+        form = sum(a * v for a, v in zip(jump.alpha, vals))
+        if form * form > tol * scale:
+            return False
+    return True

@@ -278,7 +278,9 @@ def test_rescaled_sigma_matches_stored_values():
     A = bs.sampling.random_band_matrix(rng, 2, 9, j0=1)
     sig = bs.canonical_spectral_function(A)
     gs = bs.gram_schmidt(sig, tol_zero=1e-10)
-    ssig = bs.rescaled_sigma(sig, gs.node_scale, gs.node_center)
+    # nodes mapped through y = (x - center) / scale, coefficients kept
+    ssig = bs.spectral_function(sig.n, [
+        ((j.x - gs.node_center) / gs.node_scale, j.alpha) for j in sig.jumps])
     ys = [j.x for j in ssig.jumps]
     assert min(ys) == -1.0 and max(ys) == 1.0
     for a in range(len(gs.basis)):

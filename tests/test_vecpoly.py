@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 import bandspec as bs
 from bandspec.errors import MixedDimension
 
+import helpers
+
 
 def test_basis_vector_examples():
     assert bs.basis_vector(1, 3).comps == ((1.0,), (), ())
@@ -183,6 +185,55 @@ def test_height_basis_representation(data):
     assert err <= 1e-9 * max(scale, 1.0)
 
 
+def _bits(values):
+    """Nested tuples of floats as hex strings, so that 0.0 and -0.0
+    differ."""
+    if isinstance(values, tuple):
+        return tuple(_bits(v) for v in values)
+    return float(values).hex()
+
+
+@given(st.data())
+def test_array_layout_matches_component_reference(data):
+    """Every operation agrees bit for bit with the per-component
+    reference in helpers, and equality and hashing go by value."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    coeff = st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-14, -1e-13]),
+        st.floats(min_value=-8.0, max_value=8.0, allow_nan=False, width=64),
+    )
+    raws = [
+        [data.draw(st.lists(coeff, max_size=5)) for _ in range(n)]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+    ]
+    polys = [bs.vec_poly(raw) for raw in raws]
+    refs = [tuple(helpers.ref_trim(c) for c in raw) for raw in raws]
+    scales = [data.draw(coeff) for _ in polys]
+    x = data.draw(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+    rel = data.draw(st.sampled_from([1e-12, 1e-3, 0.5]))
+
+    out = bs.linear_combine(zip(scales, polys))
+    assert _bits(out.comps) == _bits(
+        helpers.ref_linear_combine(list(zip(scales, refs))))
+    for p, ref in zip(polys, refs):
+        assert _bits(p.comps) == _bits(ref)
+        assert bs.height(p) == helpers.ref_height(ref)
+        assert (bs.height(p) is bs.NEG_INF) == p.is_zero()
+        assert _bits(bs.shift_mul(p).comps) == _bits(helpers.ref_shift_mul(ref))
+        assert _bits(bs.trim_small(p, rel).comps) == _bits(
+            helpers.ref_trim_small(ref, rel))
+        assert _bits(bs.evaluate(p, x)) == _bits(helpers.ref_evaluate(ref, x))
+        again = bs.vec_poly(p.comps)
+        assert again == p and hash(again) == hash(p)
+        # a zero's sign is no part of the value
+        flipped = bs.vec_poly([[-v if v == 0.0 else v for v in c] for c in ref])
+        assert flipped == p and hash(flipped) == hash(p)
+    for p, ref in zip(polys, refs):
+        for q, qref in zip(polys, refs):
+            assert (p == q) == (ref == qref)
+    assert bs.zero_poly(n) != bs.zero_poly(n + 1)
+
+
 def _two_node_sigma():
     A = bs.BandMatrix(1, 2, ((0.0, 0.0), (1.0,)))
     return bs.canonical_spectral_function(A)
@@ -192,12 +243,12 @@ def test_interpolation_solution_accepts_generator():
     sig = _two_node_sigma()
     gs = bs.gram_schmidt(sig)
     q = gs.generators[0]
-    assert bs.is_interpolation_solution(q, sig, 1e-9)
+    assert helpers.is_interpolation_solution(q, sig, 1e-9)
 
 
 def test_interpolation_solution_rejects_live_basis_vector():
     sig = _two_node_sigma()
-    assert not bs.is_interpolation_solution(bs.basis_vector(1, 1), sig, 1e-9)
+    assert not helpers.is_interpolation_solution(bs.basis_vector(1, 1), sig, 1e-9)
 
 
 def test_interpolation_solution_accepts_node_annihilator():
@@ -206,10 +257,10 @@ def test_interpolation_solution_accepts_node_annihilator():
     prod = bs.vec_poly(((1.0,),))
     for jump in sig.jumps:
         prod = bs.linear_combine([(1.0, bs.shift_mul(prod)), (-jump.x, prod)])
-    assert bs.is_interpolation_solution(prod, sig, 1e-9)
+    assert helpers.is_interpolation_solution(prod, sig, 1e-9)
 
 
 def test_interpolation_solution_dimension_check():
     sig = _two_node_sigma()
     with pytest.raises(bs.errors.DimensionMismatch):
-        bs.is_interpolation_solution(bs.basis_vector(1, 2), sig, 1e-9)
+        helpers.is_interpolation_solution(bs.basis_vector(1, 2), sig, 1e-9)
