@@ -90,8 +90,7 @@ def cmd_direct(args):
 def cmd_inverse(args):
     sigma = fileio.read_file(args.sigma_file, "sigma")
     _check_caps(sigma.n, sigma.N)
-    rec = reconstruct(sigma, tol_zero=args.tol_zero,
-                      verify_band=args.verify_band)
+    rec = reconstruct(sigma, tol_zero=args.tol_zero)
     _emit(fileio.dump_matrix(rec.matrix), args.output)
     if args.tinit_out is not None:
         fileio.write_file(args.tinit_out, rec.tinit)
@@ -186,9 +185,6 @@ def build_parser():
                    help="also write the recovered initial-value matrix")
     p.add_argument("--tol-zero", type=float, default=1e-8,
                    help="relative zero-norm threshold (default 1e-8)")
-    p.add_argument("--verify-band", action="store_true",
-                   help="check every inner product outside the band, "
-                        "not just the first outside diagonal")
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("spring", help="mass-spring chain tools")

@@ -9,7 +9,7 @@ Three families matter to callers (and to the CLI exit-code mapping):
   triangularity, ...).  CLI exit code 2.
 * ``NumericalDecisionError`` - a tolerance-based decision could not be
   made safely (ambiguous zero-norm test, iteration cap, vanishing
-  denominator).  CLI exit code 3.
+  denominator, a spectral weight lost to underflow).  CLI exit code 3.
 """
 
 
@@ -120,6 +120,12 @@ class IterationCapExceeded(NumericalDecisionError):
 class AmbiguousNorm(NumericalDecisionError):
     """A Gram-Schmidt residual norm falls within a factor 10 of the
     zero-norm threshold; the zero/nonzero decision is unsafe."""
+
+
+class WeightUnderflow(NumericalDecisionError):
+    """An eigenvector of an admissible matrix has its first n entries
+    all exactly 0.0, so its jump cannot be represented; the class
+    forbids a zero jump, floating point produced it."""
 
 
 class DivisionByZero(NumericalDecisionError):

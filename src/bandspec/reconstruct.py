@@ -17,9 +17,9 @@ are therefore expressed in the scaled variable
     y = (x - node_center) / node_scale,
 
 recorded in the result, and the matrix is mapped back exactly through
-A = node_scale * A_scaled + node_center * I.  Every per-polynomial
-node value is carried along with the coefficients, so inner products
-never re-evaluate high-degree monomials.
+A = node_scale * A_scaled + node_center * I.  Inner products, every
+zero-norm decision and the band come from the basis node values alone;
+the coefficient polynomials are outputs, each built once.
 """
 
 from __future__ import annotations
@@ -43,10 +43,16 @@ from .vecpoly import linear_combine, trim_small
 from .bandmat import BandMatrix, TriangularInit, validate_band
 from .spectral import validate_sigma
 
+#: Largest inner product, in the scaled frame, that still counts as zero
+#: outside the band or in a degenerate range of the recovered matrix.
+BAND_TOL = 1e-9
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Orthogonalization:
     """Result of the degenerate Gram-Schmidt run.
+
+    Equality is identity: the values array has no single truth value.
 
     basis and generators are vector polynomials in the scaled variable
     y = (x - node_center) / node_scale; heights are unaffected by the
@@ -103,7 +109,8 @@ def gram_schmidt(sigma, tol_zero=1e-8):
     """Orthonormalize the graded monomial sequence against sigma.
 
     Runs modified Gram-Schmidt with one full re-orthogonalization pass
-    per candidate.  A candidate's residual norm is compared against
+    per candidate on the node values, then builds the candidate's
+    polynomial once.  Its residual norm is compared against
     tau = tol_zero * sqrt(<e_i, e_i> + 1): above 10 tau it joins the
     basis (normalized), below tau / 10 it is a zero-class event whose
     height residue mod n either contributes a new generator or repeats
@@ -173,7 +180,7 @@ def gram_schmidt(sigma, tol_zero=1e-8):
                 )
         slot = (i - 1) % n
         deg = (i - 1) // n
-        cand = vecpoly.basis_vector(i, n)
+        terms = [(1.0, vecpoly.basis_vector(i, n))]
         v = alphas[:, slot] * y ** deg
         tau = tol_zero * math.sqrt(float(v @ v) + 1.0)
         for _ in range(2):
@@ -181,7 +188,10 @@ def gram_schmidt(sigma, tol_zero=1e-8):
                 h = float(vrows[k] @ v)
                 if h != 0.0:
                     v = v - h * vrows[k]
-                    cand = linear_combine([(1.0, cand), (-h, basis[k])])
+                    terms.append((-h, basis[k]))
+        # summed in projection order, so the coefficients round exactly
+        # as if the candidate had been updated after every projection
+        cand = linear_combine(terms)
         nrm = math.sqrt(float(v @ v))
         if nrm > 10.0 * tau:
             if len(basis) == N:
@@ -230,26 +240,21 @@ def gram_schmidt(sigma, tol_zero=1e-8):
     )
 
 
-def matrix_from_basis(sigma, gs, verify_band=False, band_tol=1e-9):
+def matrix_from_basis(sigma, gs):
     """Matrix of multiplication by the variable in the orthonormal basis.
 
-    Computes c_lk = <basis_l, y * basis_k> from the stored node values
-    for |l - k| <= n, symmetrizes each pair by averaging, snaps the
-    entries that the height-derived degeneration profile constrains to
-    zero (when they are below band_tol in the scaled frame), and maps
-    the band back to the original variable.
-
-    Parameters
-    ----------
-    verify_band : bool
-        When true, every pair with |l - k| > n is checked against
-        band_tol; the default samples only the first diagonal outside
-        the band.
+    Computes every c_lk = <basis_l, y * basis_k> from the stored node
+    values as one matrix product, symmetrized by averaging each pair.
+    Every pair with |l - k| > n must be below BAND_TOL.  Entries that
+    the height-derived degeneration profile constrains to zero are
+    snapped when they are below BAND_TOL in the scaled frame, and the
+    band is mapped back to the original variable.
 
     Raises
     ------
     BandViolation
-        An inner product outside the band exceeds band_tol.
+        An inner product outside the band exceeds BAND_TOL; the
+        message names the largest one.
     ProfileMismatch
         The basis and generator heights are mutually inconsistent.
     """
@@ -257,41 +262,28 @@ def matrix_from_basis(sigma, gs, verify_band=False, band_tol=1e-9):
     xs = np.array([j.x for j in sigma.jumps])
     y = (xs - gs.node_center) / gs.node_scale
     V = gs.values
-    W = V * y  # row k holds y_l * value_lk
+    C = (V * y) @ V.T
+    C = 0.5 * (C + C.T)
 
-    def braket(l, k):
-        # averaged symmetric form; the two dot products differ only by
-        # rounding
-        return 0.5 * (float(W[l] @ V[k]) + float(W[k] @ V[l]))
-
-    outside = range(n + 1, N) if verify_band else range(n + 1, min(n + 2, N))
-    for j in outside:
-        for k in range(N - j):
-            val = braket(k + j, k)
-            if abs(val) > band_tol:
-                raise BandViolation(
-                    "inner product at offset %d, position %d is %r, beyond "
-                    "the declared bandwidth" % (j, k + 1, val)
-                )
+    leak = np.abs(np.triu(C, n + 1))  # C is exactly symmetric
+    k, l = np.unravel_index(np.argmax(leak), leak.shape)
+    if leak[k, l] > BAND_TOL:
+        raise BandViolation(
+            "inner product at offset %d, position %d is %r, beyond the "
+            "declared bandwidth" % (l - k, k + 1, float(C[k, l]))
+        )
 
     m = height_degeneration_indices(gs)
-    diags = []
-    for j in range(n + 1):
-        diags.append([braket(k + j, k) for k in range(N - j)])
+    diags = [np.diagonal(C, g).copy() for g in range(n + 1)]
     # zero-constrained ranges per diagonal: offset g is cut from the
-    # degeneration index of level n - g + 1 through position N - g
+    # degeneration index of level n - g + 1 through position N - g;
+    # an entry left above BAND_TOL is for band validation to reject
     for g in range(1, n + 1):
-        start = m[n - g]  # m_{n-g+1}, 1-based
-        for k in range(start, N - g + 1):
-            val = diags[g][k - 1]
-            if abs(val) <= band_tol:
-                diags[g][k - 1] = 0.0
-            # else: leave it; band validation downstream will object
+        cut = diags[g][m[n - g] - 1:]  # from m_{n-g+1}, 1-based
+        cut[np.abs(cut) <= BAND_TOL] = 0.0
     s, c = gs.node_scale, gs.node_center
-    diags[0] = [s * v + c for v in diags[0]]
-    for g in range(1, n + 1):
-        diags[g] = [s * v for v in diags[g]]
-    return BandMatrix(n, N, tuple(tuple(d) for d in diags))
+    diags = [s * diags[0] + c] + [s * d for d in diags[1:]]
+    return BandMatrix(n, N, tuple(tuple(d.tolist()) for d in diags))
 
 
 def initial_conditions(gs):
@@ -316,7 +308,7 @@ def initial_conditions(gs):
     return TriangularInit(n, tuple(map(tuple, T)))
 
 
-def reconstruct(sigma, tol_zero=1e-8, verify_band=False):
+def reconstruct(sigma, tol_zero=1e-8):
     """Full inverse problem: spectral function to band matrix.
 
     Validates sigma, orthogonalizes, extracts the matrix and the
@@ -337,7 +329,7 @@ def reconstruct(sigma, tol_zero=1e-8, verify_band=False):
     """
     validate_sigma(sigma)
     gs = gram_schmidt(sigma, tol_zero)
-    A = matrix_from_basis(sigma, gs, verify_band=verify_band)
+    A = matrix_from_basis(sigma, gs)
     try:
         profile = validate_band(A)
     except ValidationError as exc:

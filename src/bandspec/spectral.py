@@ -31,6 +31,7 @@ from .errors import (
     NotSymmetric,
     RankSumMismatch,
     ValidationError,
+    WeightUnderflow,
     ZeroJump,
 )
 from . import vecpoly
@@ -86,13 +87,13 @@ def spectral_function(n, pairs):
     return SpectralFunction(n, tuple(jumps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues ascending and orthonormal eigenvectors (columns).
 
     Vector signs are fixed so the largest-magnitude component of each
     eigenvector (lowest index on ties) is positive, making the output
-    deterministic.
+    deterministic.  Equality is identity, as for the arrays it holds.
     """
 
     values: np.ndarray
@@ -147,6 +148,13 @@ def canonical_spectral_function(A):
     merged ranks sum to N; a failure of those properties is reported as
     MembershipViolation since it signals either an inadmissible matrix
     or numerical breakdown.
+
+    Raises
+    ------
+    WeightUnderflow
+        An eigenvector's first n entries all came out as exactly 0.0.
+        Admissible matrices have no zero jump, so this is a numerical
+        limit (typically a strongly localized eigenvector at large N).
     """
     validate_band(A)
     dec = eig_symmetric(to_dense(A))
@@ -157,6 +165,13 @@ def canonical_spectral_function(A):
     sigma = SpectralFunction(A.n, jumps)
     try:
         validate_sigma(sigma)
+    except ZeroJump as exc:
+        k = next(k for k, jump in enumerate(jumps) if not any(jump.alpha))
+        raise WeightUnderflow(
+            "jump %d at x=%r: its coefficient vector (the first n=%d "
+            "eigenvector entries) underflowed to exactly 0.0"
+            % (k + 1, jumps[k].x, A.n)
+        ) from exc
     except ValidationError as exc:
         raise MembershipViolation(
             "constructed spectral function fails validation: %s" % exc

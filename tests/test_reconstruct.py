@@ -9,6 +9,7 @@ import pytest
 import bandspec as bs
 from bandspec.errors import (
     AmbiguousNorm,
+    BandViolation,
     IterationCapExceeded,
     ProfileMismatch,
 )
@@ -115,11 +116,30 @@ def test_reconstruct_recovers_transform_matrix():
         assert np.max(np.abs(np.array(rec.tinit.rows) - T.dense())) < 1e-8
 
 
-def test_reconstruct_with_band_verification():
-    rng = np.random.default_rng(34)
-    A = bs.sampling.random_band_matrix(rng, 2, 7, j0=1)
-    rec = bs.reconstruct(bs.canonical_spectral_function(A), verify_band=True)
-    assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
+def test_band_leak_past_first_outside_diagonal():
+    # rotating basis rows 1 and 5 of a Jacobi basis keeps them
+    # orthonormal and moves band entries to offsets 3 and 4 only, so a
+    # check of the first outside diagonal alone would miss the leak
+    sig = bs.canonical_spectral_function(
+        bs.sampling.random_jacobi(np.random.default_rng(3), 5))
+    gs = bs.gram_schmidt(sig)
+    c, s = math.cos(0.1), math.sin(0.1)
+    V = np.array(gs.values)
+    V[0], V[4] = c * V[0] - s * V[4], s * V[0] + c * V[4]
+    with pytest.raises(BandViolation, match="offset [34]"):
+        bs.matrix_from_basis(sig, dataclasses.replace(gs, values=V))
+
+
+def test_results_compare_and_hash_without_raising():
+    sig = bs.canonical_spectral_function(
+        bs.sampling.random_band_matrix(np.random.default_rng(34), 2, 7, j0=1))
+    r1, r2 = bs.reconstruct(sig), bs.reconstruct(sig)
+    assert r1 == r1 and r1 != r2
+    assert r1.matrix == r2.matrix
+    assert len({r1, r2, r1.diagnostics}) == 3
+    dec = bs.eig_symmetric(np.diag([1.0, 2.0]))
+    assert dec == dec and dec != bs.eig_symmetric(np.diag([1.0, 2.0]))
+    assert hash(dec) == hash(dec)
 
 
 def test_orthonormality_and_heights_at_scale():

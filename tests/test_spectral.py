@@ -10,7 +10,10 @@ import bandspec as bs
 from bandspec.errors import (
     DeadComponent,
     NotSymmetric,
+    NumericalDecisionError,
     RankSumMismatch,
+    ValidationError,
+    WeightUnderflow,
     ZeroJump,
 )
 
@@ -145,6 +148,16 @@ def test_validate_sigma_rejects_zero_jump():
     sig = bs.spectral_function(1, [(-1.0, (0.7,)), (1.0, (0.0,))])
     with pytest.raises(ZeroJump):
         bs.validate_sigma(sig)
+
+
+def test_underflowed_weight_is_a_numerical_refusal():
+    # an admissible Jacobi matrix whose localized eigenvector has a
+    # first entry of exactly 0.0: exit 3, not a class violation
+    A = bs.sampling.random_jacobi(np.random.default_rng(0), 128)
+    with pytest.raises(WeightUnderflow, match=r"jump \d+ at x=") as info:
+        bs.canonical_spectral_function(A)
+    assert isinstance(info.value, NumericalDecisionError)
+    assert not isinstance(info.value, ValidationError)
 
 
 def test_validate_sigma_rejects_rank_mismatch():
