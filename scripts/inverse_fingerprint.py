@@ -6,10 +6,10 @@ as hex so that two files compare bit for bit, or the refusal class and
 message.  Compare mode reads two such files and prints, per field, how
 many cases differ, plus the largest absolute difference in the matrix.
 
-Grid: n in 1..8, N in {8, 16, 32, 48, 64} (N > n), every feasible
-number j0 of genuine cuts, each instance with identity and with random
-initial values; tol_zero 1e-8, plus 1e-10 and 1e-12 when N <= 32 or
-n in {1, 2, 8}.  That is 796 cases.
+Grid, drawn from seed 0: n in 1..8, N in {8, 16, 32, 48, 64} (N > n),
+every feasible number j0 of genuine cuts, each instance with identity
+and with random initial values; tol_zero 1e-8, plus 1e-10 and 1e-12
+when N <= 32 or n in {1, 2, 8}.  That is 796 cases.
 
     python3 scripts/inverse_fingerprint.py parent.jsonl
     python3 scripts/inverse_fingerprint.py change.jsonl
@@ -24,12 +24,14 @@ import numpy as np
 
 import bandspec as bs
 
+SEED = 0
+
 
 def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
-def cases(seed):
+def cases():
     for n in range(1, 9):
         for N in (8, 16, 32, 48, 64):
             if N <= n:
@@ -38,11 +40,11 @@ def cases(seed):
             for j0 in range(n if N >= n + 2 else 1):
                 for with_t in (0, 1):
                     for tol in tols:
-                        yield (seed, n, N, j0, with_t), tol
+                        yield (SEED, n, N, j0, with_t), tol
 
 
 def fingerprint(key, tol):
-    seed, n, N, j0, with_t = key
+    _, n, N, j0, with_t = key
     rng = np.random.default_rng(key)
     A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
     row = {"case": "n=%d N=%d j0=%d T=%d tol=%g" % (n, N, j0, with_t, tol)}
@@ -71,9 +73,9 @@ def fingerprint(key, tol):
     return row
 
 
-def write(path, seed):
+def write(path):
     with open(path, "w", encoding="utf-8") as fh:
-        for key, tol in cases(seed):
+        for key, tol in cases():
             fh.write(json.dumps(fingerprint(key, tol), sort_keys=True) + "\n")
 
 
@@ -112,12 +114,11 @@ def main():
     ap.add_argument("output", nargs="?", help="file to write the fingerprint to")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two fingerprint files instead")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     if args.compare:
         compare(*args.compare)
     elif args.output:
-        write(args.output, args.seed)
+        write(args.output)
     else:
         ap.error("give an output file or --compare A B")
 

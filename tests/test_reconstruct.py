@@ -131,9 +131,10 @@ def test_band_leak_past_first_outside_diagonal():
 
 
 def test_results_compare_and_hash_without_raising():
-    sig = bs.canonical_spectral_function(
-        bs.sampling.random_band_matrix(np.random.default_rng(34), 2, 7, j0=1))
+    A = bs.sampling.random_band_matrix(np.random.default_rng(34), 2, 7, j0=1)
+    sig = bs.canonical_spectral_function(A)
     r1, r2 = bs.reconstruct(sig), bs.reconstruct(sig)
+    assert np.max(np.abs(bs.to_dense(r1.matrix) - bs.to_dense(A))) < 1e-8
     assert r1 == r1 and r1 != r2
     assert r1.matrix == r2.matrix
     assert len({r1, r2, r1.diagnostics}) == 3
