@@ -1,8 +1,10 @@
 """Fingerprint of every inverse-problem output on a fixed-seed grid.
 
-Write mode runs `reconstruct` on a grid of random admissible instances
-and writes one JSON line per case holding every output field, floats
-as hex so that two files compare bit for bit, or the refusal class and
+Write mode runs the direct problem, the initial-value transform and
+`reconstruct` on a grid of random admissible instances and writes one
+JSON line per case holding the spectral function reconstructed from
+(nodes and coefficient vectors) and every output field, floats as hex
+so that two files compare bit for bit, or the refusal class and
 message.  Compare mode reads two such files and prints, per field, how
 many cases differ, plus the largest absolute difference in the matrix.
 
@@ -53,6 +55,8 @@ def fingerprint(key, tol):
         if with_t:
             sigma = bs.transform_spectral_function(
                 sigma, bs.sampling.random_tinit(rng, n))
+        row["sigma"] = [hexes([j.x for j in sigma.jumps]),
+                        hexes([j.alpha for j in sigma.jumps])]
         rec = bs.reconstruct(sigma, tol_zero=tol)
     except bs.errors.BandSpecError as exc:
         row["refusal"] = type(exc).__name__

@@ -33,6 +33,9 @@ from .errors import (
 from . import vecpoly
 from .vecpoly import linear_combine, shift_mul
 
+#: Relative singular-value threshold of rank_defect.
+RANK_DEFECT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BandMatrix:
@@ -354,15 +357,15 @@ def generator_matrix(table, z):
     return M
 
 
-def rank_defect(table, z, tol=1e-9):
+def rank_defect(table, z):
     """n minus the numerical rank of the generator matrix at z.
 
-    Rank is decided by singular values against tol times a reference
-    scale.  The reference is the larger of the top singular value and
-    the l1 coefficient mass of the generators evaluated at |z|; the
-    second term matters when the whole matrix vanishes (an eigenvalue
-    whose multiplicity equals n), where any purely relative rule would
-    mistake rounding noise for rank.  At an eigenvalue the defect
+    Rank is decided by singular values against RANK_DEFECT_TOL times
+    a reference scale.  The reference is the larger of the top singular
+    value and the l1 coefficient mass of the generators evaluated at
+    |z|; the second term matters when the whole matrix vanishes (an
+    eigenvalue whose multiplicity equals n), where any purely relative
+    rule would mistake rounding noise for rank.  At an eigenvalue the defect
     equals the eigenspace dimension; away from the spectrum it is zero.
     """
     M = generator_matrix(table, z)
@@ -378,7 +381,7 @@ def rank_defect(table, z, tol=1e-9):
         # pairwise and round differently
         mass = max(mass, float(grid.cumsum(axis=0)[-1].max()))
     svals = np.linalg.svd(M, compute_uv=False)
-    thresh = tol * max(float(svals[0]), mass)
+    thresh = RANK_DEFECT_TOL * max(float(svals[0]), mass)
     if thresh == 0.0:
         return table.n
     return table.n - int(np.count_nonzero(svals > thresh))

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .bandmat import validate_band
 from .spectral import (
-    Jump,
     SpectralFunction,
     canonical_spectral_function,
     jump_sum,
@@ -132,10 +131,9 @@ def cmd_roundtrip(args):
     validate_band(A)
     sigma = canonical_spectral_function(A)
     if args.perturb != 0.0:
-        first = sigma.jumps[0]
-        bumped = Jump(first.x, (first.alpha[0] + args.perturb,)
-                      + first.alpha[1:])
-        sigma = SpectralFunction(sigma.n, (bumped,) + sigma.jumps[1:])
+        alpha = sigma.alpha.copy()
+        alpha[0, 0] += args.perturb
+        sigma = SpectralFunction(sigma.n, zip(sigma.x, alpha))
     rec = reconstruct(sigma)
     dev = 0.0
     for d_in, d_out in zip(A.diags, rec.matrix.diags):

@@ -102,11 +102,10 @@ def load_sigma(text):
 
 
 def dump_sigma(sigma):
-    jumps = sorted(sigma.jumps, key=lambda j: (j.x, j.alpha))
     doc = {
         "n": sigma.n,
         "N": sigma.N,
-        "jumps": [{"x": j.x, "alpha": list(j.alpha)} for j in jumps],
+        "jumps": [{"x": j.x, "alpha": list(j.alpha)} for j in sorted(sigma.jumps)],
     }
     return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 

@@ -143,16 +143,14 @@ def gram_schmidt(sigma, tol_zero=1e-8):
         raise DimensionMismatch(
             "need more jumps than components, got N=%d n=%d" % (N, n)
         )
-    xs = np.array([j.x for j in sigma.jumps])
-    xmin, xmax = float(xs.min()), float(xs.max())
+    xmin, xmax = float(sigma.x.min()), float(sigma.x.max())
     center = 0.5 * (xmin + xmax)
     scale = 0.5 * (xmax - xmin)
     if scale == 0.0:
         # a single node carries rank at most n < N, so validated input
         # cannot land here
         raise DimensionMismatch("all nodes coincide")
-    y = (xs - center) / scale
-    alphas = np.array([j.alpha for j in sigma.jumps])  # (N, n)
+    y = (sigma.x - center) / scale
 
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
@@ -181,7 +179,7 @@ def gram_schmidt(sigma, tol_zero=1e-8):
         slot = (i - 1) % n
         deg = (i - 1) // n
         terms = [(1.0, vecpoly.basis_vector(i, n))]
-        v = alphas[:, slot] * y ** deg
+        v = sigma.alpha[:, slot] * y ** deg
         tau = tol_zero * math.sqrt(float(v @ v) + 1.0)
         for _ in range(2):
             for k in range(len(basis)):
@@ -259,8 +257,7 @@ def matrix_from_basis(sigma, gs):
         The basis and generator heights are mutually inconsistent.
     """
     n, N = sigma.n, len(gs.basis)
-    xs = np.array([j.x for j in sigma.jumps])
-    y = (xs - gs.node_center) / gs.node_scale
+    y = (sigma.x - gs.node_center) / gs.node_scale
     V = gs.values
     C = (V * y) @ V.T
     C = 0.5 * (C + C.T)

@@ -41,25 +41,22 @@ def random_profile(rng, n, N, j0=None):
     return tuple(m)
 
 
-def random_band_matrix(rng, n, N, j0=None, positive_range=(0.35, 1.6),
-                       free_range=(-1.0, 1.0)):
+def random_band_matrix(rng, n, N, j0=None):
     """Draw a random member of the admissible band class.
 
-    Positive-run entries are uniform over positive_range, unconstrained
+    Positive-run entries are uniform over [0.35, 1.6), unconstrained
     entries (the main diagonal and the positions before each level's
-    degeneration index) are uniform over free_range, and zero tails are
+    degeneration index) are uniform over [-1, 1), and zero tails are
     exact zeros.  The result is checked against validate_band before
     being returned.
     """
     m = random_profile(rng, n, N, j0)
-    lo, hi = positive_range
-    flo, fhi = free_range
 
     def positive():
-        return float(rng.uniform(lo, hi))
+        return float(rng.uniform(0.35, 1.6))
 
     def free():
-        return float(rng.uniform(flo, fhi))
+        return float(rng.uniform(-1.0, 1.0))
 
     diags = [tuple(free() for _ in range(N))]  # main diagonal
     levels = {}
@@ -84,36 +81,35 @@ def random_band_matrix(rng, n, N, j0=None, positive_range=(0.35, 1.6),
     return A
 
 
-def random_jacobi(rng, N, positive_range=(0.35, 1.6), free_range=(-1.0, 1.0)):
+def random_jacobi(rng, N):
     """Random tridiagonal member (half-bandwidth 1, never degenerate)."""
-    return random_band_matrix(rng, 1, N, j0=0,
-                              positive_range=positive_range,
-                              free_range=free_range)
+    return random_band_matrix(rng, 1, N, j0=0)
 
 
-def random_tinit(rng, n, diag_range=(0.5, 2.0), off_range=(-1.0, 1.0)):
-    """Random upper triangular initial-value matrix, positive diagonal."""
+def random_tinit(rng, n):
+    """Random upper triangular initial-value matrix: diagonal uniform
+    over [0.5, 2), entries above it over [-1, 1)."""
     rows = []
     for i in range(n):
         row = [0.0] * n
-        row[i] = float(rng.uniform(*diag_range))
+        row[i] = float(rng.uniform(0.5, 2.0))
         for j in range(i + 1, n):
-            row[j] = float(rng.uniform(*off_range))
+            row[j] = float(rng.uniform(-1.0, 1.0))
         rows.append(tuple(row))
     return TriangularInit(n, tuple(rows))
 
 
-def random_chain(rng, N, spring_range=(0.5, 2.0), mass_range=(0.5, 2.0),
-                 zero_kp_from=None):
-    """Random positive spring chain.
+def random_chain(rng, N, zero_kp_from=None):
+    """Random positive spring chain, masses and spring constants
+    uniform over [0.5, 2).
 
     zero_kp_from = i0 clamps kp_i to zero for all i >= i0, which is
     the standard way to manufacture a degenerate half-bandwidth-2
     matrix from a physical model.
     """
-    masses = tuple(float(rng.uniform(*mass_range)) for _ in range(N))
-    k = tuple(float(rng.uniform(*spring_range)) for _ in range(N + 1))
-    kp = [float(rng.uniform(*spring_range)) for _ in range(N)]
+    masses = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(N))
+    k = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(N + 1))
+    kp = [float(rng.uniform(0.5, 2.0)) for _ in range(N)]
     if zero_kp_from is not None:
         for i in range(zero_kp_from, N + 1):
             kp[i - 1] = 0.0

@@ -1,11 +1,12 @@
 """Spectral functions of band matrices and the eigensolver behind them.
 
 A spectral function here is a finite nondecreasing n x n matrix step
-function, stored as its list of jumps: node x_k plus a coefficient
-vector alpha(x_k) of length n, the jump matrix being the rank-one
-product alpha alpha^t.  For a band matrix the canonical construction
-takes the eigenvalues as nodes and the first n components of the
-orthonormal eigenvectors as coefficient vectors.
+function, stored as its jumps: nodes x_k (one ascending array) plus
+coefficient vectors alpha(x_k) of length n (the rows of one array),
+the jump matrix being the rank-one product alpha alpha^t.  For a band
+matrix the canonical construction takes the eigenvalues as nodes and
+the first n components of the orthonormal eigenvectors as coefficient
+vectors.
 
 The inner product carried by a spectral function,
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,51 +42,80 @@ from .bandmat import to_dense, validate_band
 #: Relative tolerance deciding when two nodes are the same eigenvalue.
 NODE_MERGE_TOL = 1e-10
 
+#: Symmetry threshold of eig_symmetric, relative to max(1, max |M|).
+SYMMETRY_TOL = 1e-9
 
-@dataclass(frozen=True)
-class Jump:
+#: Relative eigenvalue threshold deciding the rank of a jump matrix.
+RANK_TOL = 1e-9
+
+
+class Jump(NamedTuple):
+    """One jump of a spectral function: node x, coefficient tuple alpha."""
+
     x: float
     alpha: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralFunction:
     """Jump representation of a matrix-valued spectral step function.
 
-    jumps are sorted by node ascending; ties keep their construction
-    order.  N is the number of jumps, which for spectral functions of
-    N x N matrices equals the matrix dimension.
+    x holds the N nodes ascending (ties keep their construction order)
+    and row k of the (N, n) array alpha the coefficient vector of jump
+    k, both read-only float64.  The constructor takes Jump records or
+    (x, alpha) pairs; jumps gives Jump records back.  Equality and
+    hashing go by value.
     """
 
     n: int
-    jumps: tuple
+    x: np.ndarray
+    alpha: np.ndarray
 
-    def __post_init__(self):
-        for jump in self.jumps:
-            if len(jump.alpha) != self.n:
+    def __init__(self, n, jumps):
+        jumps = tuple(jumps)
+        for x, alpha in jumps:
+            if len(alpha) != n:
                 raise DimensionMismatch(
                     "jump at x=%r carries %d coefficients, expected %d"
-                    % (jump.x, len(jump.alpha), self.n)
+                    % (float(x), len(alpha), n)
                 )
-        xs = [jump.x for jump in self.jumps]
-        if any(a > b for a, b in zip(xs, xs[1:])):
-            raise DimensionMismatch("jumps must be sorted by node ascending")
+        _own(self, n, np.array([x for x, _ in jumps], dtype=float),
+             np.array([a for _, a in jumps], dtype=float).reshape(len(jumps), n))
 
     @property
     def N(self):
-        return len(self.jumps)
+        return len(self.x)
+
+    @property
+    def jumps(self):
+        """The jumps as a tuple of Jump records, alpha a tuple."""
+        return tuple(Jump(x, tuple(a))
+                     for x, a in zip(self.x.tolist(), self.alpha.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectralFunction):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.x, other.x)
+                and np.array_equal(self.alpha, other.alpha))
+
+    def __hash__(self):
+        # over Python floats, so that 0.0 and -0.0 hash alike
+        return hash((self.n, self.jumps))
+
+
+def _own(sigma, n, x, alpha):
+    """Fill a bare SpectralFunction with arrays it takes over read-only."""
+    if np.any(x[1:] < x[:-1]):
+        raise DimensionMismatch("jumps must be sorted by node ascending")
+    x.flags.writeable = alpha.flags.writeable = False
+    sigma.__dict__.update(n=n, x=x, alpha=alpha)
+    return sigma
 
 
 def spectral_function(n, pairs):
     """Build a SpectralFunction from (node, alpha) pairs, sorting by
     node ascending with stable order on ties."""
-    jumps = [Jump(x, tuple(alpha)) for x, alpha in pairs]
-    jumps.sort(key=lambda jump: jump.x)
-    return SpectralFunction(n, tuple(jumps))
+    return SpectralFunction(n, sorted(pairs, key=lambda pair: float(pair[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,20 +131,19 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def eig_symmetric(M, tol=1e-9):
+def eig_symmetric(M):
     """Diagonalize a dense real symmetric matrix.
 
     Parameters
     ----------
     M : (N, N) array_like
-        Must be symmetric within tol relative to its largest entry.
-    tol : float
-        Symmetry acceptance threshold.
+        Must be symmetric within SYMMETRY_TOL relative to its largest
+        entry.
 
     Raises
     ------
     NotSymmetric
-        If max |M - M^t| exceeds tol * max(1, max |M|).
+        If max |M - M^t| exceeds SYMMETRY_TOL * max(1, max |M|).
     NoConvergence
         If the underlying eigensolver fails.
     """
@@ -122,7 +152,7 @@ def eig_symmetric(M, tol=1e-9):
         raise DimensionMismatch("expected a square matrix, got %r" % (M.shape,))
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
     skew = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if skew > tol * scale:
+    if skew > SYMMETRY_TOL * scale:
         raise NotSymmetric(
             "matrix is not symmetric: max |M - M^t| = %r" % skew
         )
@@ -130,11 +160,9 @@ def eig_symmetric(M, tol=1e-9):
         values, vectors = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigensolver did not converge: %s" % exc) from exc
-    vectors = vectors.copy()
-    for k in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[lead, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
+    if len(values):
+        lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
+        vectors = vectors * np.where(lead < 0.0, -1.0, 1.0)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return EigenDecomposition(values, vectors)
@@ -158,19 +186,16 @@ def canonical_spectral_function(A):
     """
     validate_band(A)
     dec = eig_symmetric(to_dense(A))
-    jumps = tuple(
-        Jump(float(dec.values[k]), tuple(dec.vectors[: A.n, k]))
-        for k in range(A.N)
-    )
-    sigma = SpectralFunction(A.n, jumps)
+    sigma = _own(object.__new__(SpectralFunction), A.n, dec.values,
+                 dec.vectors[: A.n].T.copy())
     try:
         validate_sigma(sigma)
     except ZeroJump as exc:
-        k = next(k for k, jump in enumerate(jumps) if not any(jump.alpha))
+        k = int(np.flatnonzero(np.all(sigma.alpha == 0.0, axis=1))[0])
         raise WeightUnderflow(
             "jump %d at x=%r: its coefficient vector (the first n=%d "
             "eigenvector entries) underflowed to exactly 0.0"
-            % (k + 1, jumps[k].x, A.n)
+            % (k + 1, float(sigma.x[k]), A.n)
         ) from exc
     except ValidationError as exc:
         raise MembershipViolation(
@@ -189,32 +214,30 @@ def transform_spectral_function(sigma, T):
             "initial values have size %d, spectral function has %d"
             % (T.n, sigma.n)
         )
-    Tt = T.dense().T
-    jumps = []
-    for jump in sigma.jumps:
-        alpha = np.linalg.solve(Tt, np.array(jump.alpha))
-        jumps.append(Jump(jump.x, tuple(alpha)))
-    return SpectralFunction(sigma.n, tuple(jumps))
+    # one single-vector solve per jump, stacked; a multi-column solve
+    # would round differently
+    alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
+    return _own(object.__new__(SpectralFunction), sigma.n, sigma.x, alpha)
 
 
-def merged_jump_matrices(sigma, node_tol=NODE_MERGE_TOL):
+def merged_jump_matrices(sigma):
     """Group jumps at numerically equal nodes and sum their matrices.
 
-    Consecutive nodes closer than node_tol * (1 + |x|) fall into one
-    group.  Returns a list of (representative node, n x n jump matrix)
-    in ascending node order.
+    Consecutive nodes closer than NODE_MERGE_TOL * (1 + |x|) to the
+    first node x of their group fall into it.  Returns a list of
+    (representative node, n x n jump matrix) in ascending node order.
     """
+    alpha = sigma.alpha
     groups = []
-    for jump in sigma.jumps:
-        a = np.array(jump.alpha)
-        if groups and jump.x - groups[-1][0] <= node_tol * (1.0 + abs(groups[-1][0])):
-            groups[-1][1] += np.outer(a, a)
+    for x, M in zip(sigma.x.tolist(), alpha[:, :, None] * alpha[:, None, :]):
+        if groups and x - groups[-1][0] <= NODE_MERGE_TOL * (1.0 + abs(groups[-1][0])):
+            groups[-1][1] += M
         else:
-            groups.append([jump.x, np.outer(a, a)])
+            groups.append([x, M])
     return [(x, M) for x, M in groups]
 
 
-def validate_sigma(sigma, tol=1e-9):
+def validate_sigma(sigma):
     """Check the admissibility of a spectral function.
 
     Raises
@@ -226,22 +249,21 @@ def validate_sigma(sigma, tol=1e-9):
     RankSumMismatch
         The ranks of the merged per-node jump matrices do not sum to
         the number of jumps (rank decided by eigenvalues above
-        tol * largest).
+        RANK_TOL * largest).
     """
-    for jump in sigma.jumps:
-        if all(a == 0.0 for a in jump.alpha):
-            raise ZeroJump("jump at x=%r has a zero coefficient vector" % jump.x)
-    for j in range(sigma.n):
-        if all(jump.alpha[j] == 0.0 for jump in sigma.jumps):
-            raise DeadComponent(
-                "component %d has zero coefficient at every node" % (j + 1)
-            )
-    total = 0
-    for x, M in merged_jump_matrices(sigma):
-        evals = np.linalg.eigvalsh(M)
-        top = float(evals[-1])
-        if top > 0.0:
-            total += int(np.count_nonzero(evals > tol * top))
+    zero = np.flatnonzero(np.all(sigma.alpha == 0.0, axis=1))
+    if len(zero):
+        raise ZeroJump("jump at x=%r has a zero coefficient vector"
+                       % float(sigma.x[zero[0]]))
+    dead = np.flatnonzero(np.all(sigma.alpha == 0.0, axis=0))
+    if len(dead):
+        raise DeadComponent(
+            "component %d has zero coefficient at every node" % (dead[0] + 1)
+        )
+    evals = np.linalg.eigvalsh(
+        np.array([M for _, M in merged_jump_matrices(sigma)]))
+    top = evals[:, -1:]
+    total = int(np.count_nonzero((evals > RANK_TOL * top) & (top > 0.0)))
     if total != sigma.N:
         raise RankSumMismatch(
             "merged jump ranks sum to %d, expected %d" % (total, sigma.N)
@@ -251,11 +273,9 @@ def validate_sigma(sigma, tol=1e-9):
 def jump_sum(sigma):
     """Sum of all jump matrices (the identity for canonical spectral
     functions of admissible matrices)."""
-    S = np.zeros((sigma.n, sigma.n))
-    for jump in sigma.jumps:
-        a = np.array(jump.alpha)
-        S += np.outer(a, a)
-    return S
+    alpha = sigma.alpha
+    # jump by jump in storage order; alpha^t alpha would round differently
+    return sum(alpha[:, :, None] * alpha[:, None, :], np.zeros((sigma.n, sigma.n)))
 
 
 def inner(sigma, r, s):

@@ -11,7 +11,9 @@ The ref_* functions are a pure-Python reference for the vector
 polynomial operations on per-component coefficient tuples (ascending
 degree, trailing zeros trimmed, a zero component empty).  They use the
 same floating-point operations in the same order as the package, so the
-two must agree bit for bit.
+two must agree bit for bit.  The ref_* functions on spectral functions
+do the same for the direct problem, one jump at a time on (x, alpha)
+records.
 
 is_interpolation_solution tests zero-class membership of a vector
 polynomial directly at the jumps of a spectral function.
@@ -22,7 +24,13 @@ import math
 import numpy as np
 
 import bandspec as bs
-from bandspec.errors import DimensionMismatch
+from bandspec.errors import (
+    DeadComponent,
+    DimensionMismatch,
+    RankSumMismatch,
+    ZeroJump,
+)
+from bandspec.spectral import NODE_MERGE_TOL, RANK_TOL
 
 
 def stieltjes_jacobi(nodes, weights):
@@ -109,6 +117,74 @@ def ref_trim_small(comps, rel=1e-12):
     cut = rel * top
     return tuple(ref_trim(0.0 if abs(v) <= cut else v for v in c)
                  for c in comps)
+
+
+def bits(values):
+    """Floats, arrays and nested sequences of them as nested tuples of
+    hex strings, so that 0.0 and -0.0 differ."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if isinstance(values, (tuple, list)):
+        return tuple(bits(v) for v in values)
+    return float(values).hex()
+
+
+def ref_eig_signs(vectors):
+    """Eigenvector columns, each negated when its largest-magnitude
+    entry (lowest index on ties) is negative, one column at a time."""
+    vectors = vectors.copy()
+    for k in range(vectors.shape[1]):
+        lead = int(np.argmax(np.abs(vectors[:, k])))
+        if vectors[lead, k] < 0.0:
+            vectors[:, k] = -vectors[:, k]
+    return vectors
+
+
+def ref_transform(jumps, T):
+    """(x, (T^t)^{-1} alpha) per jump, one solve each."""
+    Tt = T.dense().T
+    return tuple((x, tuple(np.linalg.solve(Tt, np.array(alpha))))
+                 for x, alpha in jumps)
+
+
+def ref_jump_sum(n, jumps):
+    """Sum of the jump matrices, accumulated jump by jump."""
+    S = np.zeros((n, n))
+    for _, alpha in jumps:
+        a = np.array(alpha)
+        S += np.outer(a, a)
+    return S
+
+
+def ref_merged_jump_matrices(jumps):
+    """Jump matrices summed over runs of nodes within NODE_MERGE_TOL of
+    their run's first node, as (first node, matrix) pairs."""
+    groups = []
+    for x, alpha in jumps:
+        a = np.array(alpha)
+        if groups and x - groups[-1][0] <= NODE_MERGE_TOL * (1.0 + abs(groups[-1][0])):
+            groups[-1][1] += np.outer(a, a)
+        else:
+            groups.append([x, np.outer(a, a)])
+    return [(x, M) for x, M in groups]
+
+
+def ref_validate_sigma(n, jumps):
+    """The error class validate_sigma raises on these jumps, or None:
+    one jump, one component and one eigvalsh call at a time."""
+    for _, alpha in jumps:
+        if all(a == 0.0 for a in alpha):
+            return ZeroJump
+    for j in range(n):
+        if all(alpha[j] == 0.0 for _, alpha in jumps):
+            return DeadComponent
+    total = 0
+    for _, M in ref_merged_jump_matrices(jumps):
+        evals = np.linalg.eigvalsh(M)
+        top = float(evals[-1])
+        if top > 0.0:
+            total += int(np.count_nonzero(evals > RANK_TOL * top))
+    return None if total == len(jumps) else RankSumMismatch
 
 
 def degree(coeffs):

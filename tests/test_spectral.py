@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import bandspec as bs
 from bandspec.errors import (
     DeadComponent,
+    DimensionMismatch,
     NotSymmetric,
     NumericalDecisionError,
     RankSumMismatch,
@@ -16,6 +17,8 @@ from bandspec.errors import (
     WeightUnderflow,
     ZeroJump,
 )
+
+import helpers
 
 
 def flip_matrix():
@@ -55,6 +58,8 @@ def test_eig_residual_bound(seed, N):
     M = rng.standard_normal((N, N))
     M = (M + M.T) / 2.0
     dec = bs.eig_symmetric(M)
+    assert helpers.bits(dec.vectors) == helpers.bits(
+        helpers.ref_eig_signs(np.linalg.eigh(M)[1]))
     norm = np.linalg.norm(M, 2)
     for k in range(N):
         res = np.linalg.norm(M @ dec.vectors[:, k] - dec.values[k] * dec.vectors[:, k])
@@ -260,3 +265,72 @@ def test_inner_is_bit_exact_symmetric(data):
     r = bs.vec_poly(comps_r)
     s = bs.vec_poly(comps_s)
     assert bs.inner(sig, r, s) == bs.inner(sig, s, r)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_array_storage_matches_per_jump_reference(data):
+    """The (x, alpha) arrays give bit for bit what the per-jump loops in
+    helpers give, round-trip through jumps, compare and hash by value,
+    and refuse wrong coefficient counts and unsorted nodes."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    N = data.draw(st.integers(min_value=0, max_value=6))
+    num = st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-14, 5e-324]),
+        st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=64),
+    )
+    # repeated and merge-close nodes exercise the grouping
+    node = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1.0 + 5e-11]), num)
+    xs = sorted(data.draw(node) for _ in range(N))
+    jumps = tuple(bs.Jump(x, tuple(data.draw(num) for _ in range(n)))
+                  for x in xs)
+    sig = bs.SpectralFunction(n, jumps)
+
+    assert sig.N == N and sig.x.shape == (N,) and sig.alpha.shape == (N, n)
+    assert all(type(j.alpha) is tuple for j in sig.jumps)
+    assert helpers.bits(sig.jumps) == helpers.bits(jumps)
+    again = bs.SpectralFunction(n, sig.jumps)
+    assert again == sig and hash(again) == hash(sig)
+    # a zero's sign is no part of the value
+    def flip(v):
+        return -v if v == 0.0 else v
+
+    flipped = bs.SpectralFunction(
+        n, [(flip(x), tuple(map(flip, a))) for x, a in jumps])
+    assert flipped == sig and hash(flipped) == hash(sig)
+    if N:
+        bumped = bs.SpectralFunction(
+            n, ((jumps[0].x, (jumps[0].alpha[0] + 1.0,) + jumps[0].alpha[1:]),)
+            + jumps[1:])
+        assert bumped != sig
+
+    rows = []
+    for i in range(n):
+        row = [0.0] * n
+        row[i] = data.draw(st.floats(min_value=0.25, max_value=3.0))
+        for j in range(i + 1, n):
+            row[j] = data.draw(st.floats(min_value=-2.0, max_value=2.0))
+        rows.append(tuple(row))
+    T = bs.TriangularInit(n, tuple(rows))
+    assert helpers.bits(bs.transform_spectral_function(sig, T).jumps) == \
+        helpers.bits(helpers.ref_transform(jumps, T))
+    assert helpers.bits(bs.jump_sum(sig)) == \
+        helpers.bits(helpers.ref_jump_sum(n, jumps))
+    assert helpers.bits(bs.merged_jump_matrices(sig)) == \
+        helpers.bits(helpers.ref_merged_jump_matrices(jumps))
+    try:
+        bs.validate_sigma(sig)
+        verdict = None
+    except ValidationError as exc:
+        verdict = type(exc)
+    assert verdict is helpers.ref_validate_sigma(n, jumps)
+
+    if N:
+        k = data.draw(st.integers(min_value=0, max_value=N - 1))
+        wrong = jumps[k].alpha + (1.0,) if data.draw(st.booleans()) \
+            else jumps[k].alpha[:-1]
+        with pytest.raises(DimensionMismatch, match="coefficients"):
+            bs.SpectralFunction(n, jumps[:k] + ((jumps[k].x, wrong),) + jumps[k + 1:])
+    if N >= 2 and xs[0] < xs[-1]:
+        with pytest.raises(DimensionMismatch, match="sorted"):
+            bs.SpectralFunction(n, jumps[::-1])

@@ -135,6 +135,30 @@ def test_linear_combine_height_law(data):
         assert h == cap
 
 
+def _peel_over_family(family, target, m):
+    """Expand the height-m target over the height-graded family top-down
+    and check that the expansion reproduces it."""
+    residual = target
+    coeffs = [0.0] * (m + 1)
+    for i in range(m, -1, -1):
+        if residual.is_zero() or bs.height(residual) < i:
+            continue
+        # read by height: after an underflowed quotient the residual
+        # keeps a higher entry, and its height-i entry can be a 0.0
+        # that comps trims away
+        c = residual.coef[i] / family[i].coef[i]
+        coeffs[i] = c
+        residual = bs.linear_combine([(1.0, residual), (-c, family[i])])
+    assert coeffs[m] != 0.0
+    rebuilt = bs.linear_combine(
+        [(c, g) for c, g in zip(coeffs, family)]
+    )
+    diff = bs.linear_combine([(1.0, target), (-1.0, rebuilt)])
+    scale = max(abs(v) for comp in target.comps for v in comp)
+    err = max((abs(v) for comp in diff.comps for v in comp), default=0.0)
+    assert err <= 1e-9 * max(scale, 1.0)
+
+
 @given(st.data())
 def test_height_basis_representation(data):
     """Any polynomial of height m expands over a height-graded family.
@@ -162,35 +186,18 @@ def test_height_basis_representation(data):
         target_terms.append((data.draw(coeff), bs.basis_vector(lower, n)))
     target = bs.linear_combine(target_terms)
     assert bs.height(target) == m
-
-    residual = target
-    coeffs = [0.0] * (m + 1)
-    for i in range(m, -1, -1):
-        if residual.is_zero() or bs.height(residual) < i:
-            continue
-        slot = i % n
-        deg = i // n
-        top = residual.comps[slot][deg]
-        base = family[i].comps[slot][deg]
-        c = top / base
-        coeffs[i] = c
-        residual = bs.linear_combine([(1.0, residual), (-c, family[i])])
-    assert coeffs[m] != 0.0
-    rebuilt = bs.linear_combine(
-        [(c, g) for c, g in zip(coeffs, family)]
-    )
-    diff = bs.linear_combine([(1.0, target), (-1.0, rebuilt)])
-    scale = max(abs(v) for comp in target.comps for v in comp)
-    err = max((abs(v) for comp in diff.comps for v in comp), default=0.0)
-    assert err <= 1e-9 * max(scale, 1.0)
+    _peel_over_family(family, target, m)
 
 
-def _bits(values):
-    """Nested tuples of floats as hex strings, so that 0.0 and -0.0
-    differ."""
-    if isinstance(values, tuple):
-        return tuple(_bits(v) for v in values)
-    return float(values).hex()
+def test_height_basis_representation_underflowing_quotient():
+    # 5e-324 / 2.0 rounds to 0.0, so the height-1 peel leaves the
+    # denormal in place and the height-0 entry it reads next is 0.0
+    family = [bs.basis_vector(1, 2),
+              bs.linear_combine([(2.0, bs.basis_vector(2, 2))]),
+              bs.basis_vector(3, 2)]
+    target = bs.linear_combine([(1.0, bs.basis_vector(3, 2)),
+                                (5e-324, bs.basis_vector(2, 2))])
+    _peel_over_family(family, target, 2)
 
 
 @given(st.data())
@@ -213,16 +220,18 @@ def test_array_layout_matches_component_reference(data):
     rel = data.draw(st.sampled_from([1e-12, 1e-3, 0.5]))
 
     out = bs.linear_combine(zip(scales, polys))
-    assert _bits(out.comps) == _bits(
+    assert helpers.bits(out.comps) == helpers.bits(
         helpers.ref_linear_combine(list(zip(scales, refs))))
     for p, ref in zip(polys, refs):
-        assert _bits(p.comps) == _bits(ref)
+        assert helpers.bits(p.comps) == helpers.bits(ref)
         assert bs.height(p) == helpers.ref_height(ref)
         assert (bs.height(p) is bs.NEG_INF) == p.is_zero()
-        assert _bits(bs.shift_mul(p).comps) == _bits(helpers.ref_shift_mul(ref))
-        assert _bits(bs.trim_small(p, rel).comps) == _bits(
+        assert helpers.bits(bs.shift_mul(p).comps) == helpers.bits(
+            helpers.ref_shift_mul(ref))
+        assert helpers.bits(bs.trim_small(p, rel).comps) == helpers.bits(
             helpers.ref_trim_small(ref, rel))
-        assert _bits(bs.evaluate(p, x)) == _bits(helpers.ref_evaluate(ref, x))
+        assert helpers.bits(bs.evaluate(p, x)) == helpers.bits(
+            helpers.ref_evaluate(ref, x))
         again = bs.vec_poly(p.comps)
         assert again == p and hash(again) == hash(p)
         # a zero's sign is no part of the value
