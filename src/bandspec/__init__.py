@@ -63,7 +63,6 @@ from .spectral import (
     inner,
     jump_sum,
     merged_jump_matrices,
-    spectral_function,
     transform_spectral_function,
     validate_sigma,
 )
@@ -94,8 +93,7 @@ __all__ = [
     "solve_recurrence", "to_dense", "validate_band",
     "EigenDecomposition", "Jump", "SpectralFunction",
     "canonical_spectral_function", "eig_symmetric", "inner", "jump_sum",
-    "merged_jump_matrices", "spectral_function",
-    "transform_spectral_function", "validate_sigma",
+    "merged_jump_matrices", "transform_spectral_function", "validate_sigma",
     "Orthogonalization", "Reconstruction", "gram_schmidt",
     "height_degeneration_indices", "initial_conditions",
     "matrix_from_basis", "reconstruct",

@@ -28,6 +28,7 @@ from .errors import (
     NegativeConstrainedEntry,
     NonContiguousPositiveRun,
     NotTriangular,
+    ValidationError,
     ZeroPivot,
 )
 from . import vecpoly
@@ -191,7 +192,7 @@ def validate_band(A):
     """
     n, N = A.n, A.N
     if n < 1:
-        raise DimensionMismatch("class membership needs n >= 1")
+        raise ValidationError("class membership needs n >= 1")
     if A.diags[n][0] <= 0.0:
         raise LeadingZero(
             "d^(%d)_1 = %r violates 1 < m_1 < N-n+1: the outermost diagonal "

@@ -128,7 +128,6 @@ def cmd_spring(args):
 def cmd_roundtrip(args):
     A = fileio.read_file(args.matrix_file, "matrix")
     _check_caps(A.n, A.N)
-    validate_band(A)
     sigma = canonical_spectral_function(A)
     if args.perturb != 0.0:
         alpha = sigma.alpha.copy()

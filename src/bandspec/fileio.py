@@ -9,17 +9,18 @@ on output:
 * tinit:   {"n": int, "rows": [[...], ...]} (square, upper triangular)
 
 Numbers are written in shortest round-trip decimal form, so writing a
-value and reading it back is bit-exact.  NaN and infinity literals are
-rejected on input and never produced on output.
+value and reading it back is bit-exact.  Non-finite numbers, literal or
+overflowing, are rejected on input and never produced on output.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import InputError
 from .bandmat import BandMatrix, TriangularInit
-from .spectral import SpectralFunction, spectral_function
+from .spectral import SpectralFunction
 from .springchain import SpringChain
 
 
@@ -30,7 +31,7 @@ def _reject_constant(name):
 def _loads(text, what):
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise InputError("%s file is not valid JSON: %s" % (what, exc)) from exc
     if not isinstance(doc, dict):
         raise InputError("%s file must contain a JSON object" % what)
@@ -40,7 +41,12 @@ def _loads(text, what):
 def _num(doc_name, field, v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError("%s: %s must be a number, got %r" % (doc_name, field, v))
-    return float(v)
+    try:
+        if math.isfinite(float(v)):
+            return float(v)
+    except OverflowError:
+        pass
+    raise InputError("%s: %s is out of the float range" % (doc_name, field))
 
 
 def _int(doc_name, field, v):
@@ -98,14 +104,14 @@ def load_sigma(text):
                 % (i, len(alpha), n)
             )
         pairs.append((x, alpha))
-    return spectral_function(n, pairs)
+    return SpectralFunction(n, pairs)
 
 
 def dump_sigma(sigma):
     doc = {
         "n": sigma.n,
         "N": sigma.N,
-        "jumps": [{"x": j.x, "alpha": list(j.alpha)} for j in sorted(sigma.jumps)],
+        "jumps": [{"x": j.x, "alpha": list(j.alpha)} for j in sigma.jumps],
     }
     return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 

@@ -60,11 +60,11 @@ class Jump(NamedTuple):
 class SpectralFunction:
     """Jump representation of a matrix-valued spectral step function.
 
-    x holds the N nodes ascending (ties keep their construction order)
-    and row k of the (N, n) array alpha the coefficient vector of jump
-    k, both read-only float64.  The constructor takes Jump records or
-    (x, alpha) pairs; jumps gives Jump records back.  Equality and
-    hashing go by value.
+    x holds the N nodes and row k of the (N, n) array alpha the
+    coefficient vector of jump k, both read-only float64.  The
+    constructor takes Jump records or (x, alpha) pairs in any order and
+    with any signs and stores their canonical form (see _own); jumps
+    gives Jump records back.  Equality and hashing go by value.
     """
 
     n: int
@@ -99,32 +99,29 @@ class SpectralFunction:
                 and np.array_equal(self.alpha, other.alpha))
 
     def __hash__(self):
-        # over Python floats, so that 0.0 and -0.0 hash alike
         return hash((self.n, self.jumps))
 
 
 def _own(sigma, n, x, alpha):
-    """Fill a bare SpectralFunction with arrays it takes over read-only."""
-    if np.any(x[1:] < x[:-1]):
-        raise DimensionMismatch("jumps must be sorted by node ascending")
+    """Fill a bare SpectralFunction with new read-only arrays holding the
+    canonical form of the jumps (x, alpha): sorted by node, exact ties by
+    alpha entry by entry, each alpha's first nonzero entry positive and,
+    by adding 0.0, no zero negative."""
+    if n:  # argmax needs at least one coefficient
+        lead = alpha[np.arange(len(x)), np.argmax(alpha != 0.0, axis=1)]
+        alpha = alpha * np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    order = np.lexsort((*alpha.T[::-1], x))
+    x, alpha = x[order] + 0.0, alpha[order] + 0.0
     x.flags.writeable = alpha.flags.writeable = False
     sigma.__dict__.update(n=n, x=x, alpha=alpha)
     return sigma
-
-
-def spectral_function(n, pairs):
-    """Build a SpectralFunction from (node, alpha) pairs, sorting by
-    node ascending with stable order on ties."""
-    return SpectralFunction(n, sorted(pairs, key=lambda pair: float(pair[0])))
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues ascending and orthonormal eigenvectors (columns).
 
-    Vector signs are fixed so the largest-magnitude component of each
-    eigenvector (lowest index on ties) is positive, making the output
-    deterministic.  Equality is identity, as for the arrays it holds.
+    Equality is identity, as for the arrays it holds.
     """
 
     values: np.ndarray
@@ -160,9 +157,6 @@ def eig_symmetric(M):
         values, vectors = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigensolver did not converge: %s" % exc) from exc
-    if len(values):
-        lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
-        vectors = vectors * np.where(lead < 0.0, -1.0, 1.0)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return EigenDecomposition(values, vectors)
@@ -171,11 +165,11 @@ def eig_symmetric(M):
 def canonical_spectral_function(A):
     """Spectral function of a band matrix under identity initial values.
 
-    Jump k is (lambda_k, first n components of the k-th sign-fixed
-    eigenvector).  The result always carries exactly N jumps whose
-    merged ranks sum to N; a failure of those properties is reported as
-    MembershipViolation since it signals either an inadmissible matrix
-    or numerical breakdown.
+    Jump k is (lambda_k, first n components of the k-th eigenvector), in
+    SpectralFunction's canonical order and signs.  The result always
+    carries exactly N jumps whose merged ranks sum to N; a failure of
+    those properties is reported as MembershipViolation since it
+    signals either an inadmissible matrix or numerical breakdown.
 
     Raises
     ------
@@ -187,7 +181,7 @@ def canonical_spectral_function(A):
     validate_band(A)
     dec = eig_symmetric(to_dense(A))
     sigma = _own(object.__new__(SpectralFunction), A.n, dec.values,
-                 dec.vectors[: A.n].T.copy())
+                 dec.vectors[: A.n].T)
     try:
         validate_sigma(sigma)
     except ZeroJump as exc:

@@ -129,15 +129,16 @@ def bits(values):
     return float(values).hex()
 
 
-def ref_eig_signs(vectors):
-    """Eigenvector columns, each negated when its largest-magnitude
-    entry (lowest index on ties) is negative, one column at a time."""
-    vectors = vectors.copy()
-    for k in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[lead, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
-    return vectors
+def ref_canonical(jumps):
+    """(x, alpha) records in SpectralFunction's canonical form, one jump
+    at a time: alpha negated when its first nonzero entry is negative,
+    -0.0 made 0.0, then sorted by node and alpha entry by entry."""
+    out = []
+    for x, alpha in jumps:
+        if next((a for a in alpha if a != 0.0), 0.0) < 0.0:
+            alpha = tuple(-a for a in alpha)
+        out.append((x + 0.0, tuple(a + 0.0 for a in alpha)))
+    return tuple(sorted(out))
 
 
 def ref_transform(jumps, T):

@@ -314,7 +314,7 @@ def test_criterion_9_cli_contract(tmp_path):
     broken.write_text("{", encoding="utf-8")
 
     r = 1.0 / math.sqrt(2.0)
-    fuzzy = bs.spectral_function(
+    fuzzy = bs.SpectralFunction(
         1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])
     fuzzyfile = tmp_path / "fuzzy.json"
     fuzzyfile.write_text(fileio.dump_sigma(fuzzy), encoding="utf-8")

@@ -154,7 +154,7 @@ def test_inverse_roundtrip_via_files(tmp_path, capsys):
 
 
 def test_inverse_rejects_dead_component(tmp_path, capsys):
-    sig = bs.spectral_function(
+    sig = bs.SpectralFunction(
         2, [(-1.0, (0.6, 0.0)), (0.5, (0.7, 0.0)), (2.0, (0.2, 0.0))]
     )
     path = write(tmp_path, "dead.json", fileio.dump_sigma(sig))
@@ -164,7 +164,7 @@ def test_inverse_rejects_dead_component(tmp_path, capsys):
 
 def test_inverse_reports_undecidable_residual(tmp_path, capsys):
     r = 1.0 / math.sqrt(2.0)
-    sig = bs.spectral_function(1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])
+    sig = bs.SpectralFunction(1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])
     path = write(tmp_path, "ambiguous.json", fileio.dump_sigma(sig))
     assert main(["inverse", path]) == 3
     assert "AmbiguousNorm" in capsys.readouterr().err
@@ -247,9 +247,41 @@ def test_file_identity_is_bit_exact(tmp_path):
 
 
 def test_sigma_files_write_sorted_jumps(tmp_path):
-    sig = bs.spectral_function(1, [(1.0, (0.5,)), (-1.0, (0.5,))])
+    sig = bs.SpectralFunction(1, [(1.0, (0.5,)), (-1.0, (0.5,))])
     doc = json.loads(fileio.dump_sigma(sig))
     assert [j["x"] for j in doc["jumps"]] == [-1.0, 1.0]
+
+
+def test_sigma_files_round_trip_tied_nodes():
+    sig = bs.SpectralFunction(
+        2, [(1.0, (0.5, 0.1)), (1.0, (0.3, 0.2)), (2.0, (0.1, 0.9))])
+    text = fileio.dump_sigma(sig)
+    back = fileio.load_sigma(text)
+    assert back == sig
+    assert fileio.dump_sigma(back) == text
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"n": 1, "N": 2, "jumps": [{"x": 1e400, "alpha": [0.5]}, '
+                 '{"x": 1.0, "alpha": [0.5]}]}', id="overflowing-node"),
+    pytest.param('{"n": 1, "N": 2, "diags": [[0.0, 0.0], [1e999]]}',
+                 id="overflowing-diagonal"),
+    pytest.param('{"n": 1, "N": 2, "diags": [[0.0, 0.0], [%s]]}' % ("9" * 401),
+                 id="401-digit-integer"),
+    pytest.param('{"n": 1, "N": 2, "diags": [[0.0, 0.0], [%s]]}' % ("9" * 5000),
+                 id="5000-digit-integer"),
+])
+def test_out_of_range_numbers_are_malformed(tmp_path, capsys, text):
+    path = write(tmp_path, "big.json", text)
+    command = "inverse" if "jumps" in text else "validate"
+    assert main([command, path]) == 1
+    assert "InputError" in capsys.readouterr().err
+
+
+def test_validate_rejects_diagonal_matrix_as_outside_class(tmp_path, capsys):
+    path = write(tmp_path, "diagonal.json", '{"n": 0, "N": 2, "diags": [[1.0, 2.0]]}')
+    assert main(["validate", path]) == 2
+    assert "ValidationError" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

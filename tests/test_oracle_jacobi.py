@@ -51,7 +51,7 @@ def test_scalar_recurrence_tracks_measure_mass():
     assert max(abs(a - b) for a, b in zip(diag, base[0])) < 1e-12
     assert max(abs(a - b) for a, b in zip(off, base[1])) < 1e-12
 
-    scaled = bs.spectral_function(
+    scaled = bs.SpectralFunction(
         1, [(x, (math.sqrt(w),)) for x, w in zip(nodes, weights)]
     )
     rec = bs.reconstruct(scaled, tol_zero=1e-10)

@@ -54,7 +54,7 @@ def test_initial_conditions_hand_examples():
     assert abs(T.rows[0][0] - 1.0) < 1e-14
 
     # scaling every jump by 4 scales the constant normalization by 1/2
-    scaled = bs.spectral_function(
+    scaled = bs.SpectralFunction(
         1, [(j.x, (2.0 * j.alpha[0],)) for j in sig.jumps]
     )
     T4 = bs.initial_conditions(bs.gram_schmidt(scaled))
@@ -270,7 +270,7 @@ def test_iteration_cap_on_inadmissible_sigma():
     # every jump direction identical: passes the pointwise checks but
     # is not realizable, so the candidate stream must be cut off
     pairs = [(x, (1.0, 1.0)) for x in (-1.5, -0.5, 0.5, 1.5)]
-    sig = bs.spectral_function(2, pairs)
+    sig = bs.SpectralFunction(2, pairs)
     bs.validate_sigma(sig)
     with pytest.raises(IterationCapExceeded):
         bs.gram_schmidt(sig)
@@ -278,7 +278,7 @@ def test_iteration_cap_on_inadmissible_sigma():
 
 def test_ambiguous_norm_trigger():
     r = 1.0 / math.sqrt(2.0)
-    sig = bs.spectral_function(1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])
+    sig = bs.SpectralFunction(1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])
     with pytest.raises(AmbiguousNorm):
         bs.gram_schmidt(sig)
 
@@ -300,7 +300,7 @@ def test_rescaled_sigma_matches_stored_values():
     sig = bs.canonical_spectral_function(A)
     gs = bs.gram_schmidt(sig, tol_zero=1e-10)
     # nodes mapped through y = (x - center) / scale, coefficients kept
-    ssig = bs.spectral_function(sig.n, [
+    ssig = bs.SpectralFunction(sig.n, [
         ((j.x - gs.node_center) / gs.node_scale, j.alpha) for j in sig.jumps])
     ys = [j.x for j in ssig.jumps]
     assert min(ys) == -1.0 and max(ys) == 1.0

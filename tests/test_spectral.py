@@ -29,9 +29,16 @@ def test_eig_hand_example_with_sign_rule():
     dec = bs.eig_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(dec.values, [-1.0, 1.0])
     r = 1.0 / math.sqrt(2.0)
-    # ties on |component| resolve to the lowest index, which is made positive
-    assert np.allclose(dec.vectors[:, 0], [r, -r])
-    assert np.allclose(dec.vectors[:, 1], [r, r])
+    # an eigenvector is unique up to sign only
+    for v, want in zip(dec.vectors.T, ([r, -r], [r, r])):
+        assert np.allclose(v * np.sign(v @ want), want)
+    # the spectral function makes each coefficient vector's first
+    # nonzero entry positive, whatever sign the eigensolver chose
+    sig = bs.canonical_spectral_function(flip_matrix())
+    assert sig.alpha.tolist() == [[0.7071067811865475], [0.7071067811865475]]
+    sig = bs.SpectralFunction(2, [(1.0, (-0.0, -0.5)), (0.0, (-0.3, 0.4))])
+    assert helpers.bits(sig.jumps) == helpers.bits(
+        ((0.0, (0.3, -0.4)), (1.0, (0.0, 0.5))))
 
 
 def test_eig_identity_and_permuted_diagonal():
@@ -58,8 +65,6 @@ def test_eig_residual_bound(seed, N):
     M = rng.standard_normal((N, N))
     M = (M + M.T) / 2.0
     dec = bs.eig_symmetric(M)
-    assert helpers.bits(dec.vectors) == helpers.bits(
-        helpers.ref_eig_signs(np.linalg.eigh(M)[1]))
     norm = np.linalg.norm(M, 2)
     for k in range(N):
         res = np.linalg.norm(M @ dec.vectors[:, k] - dec.values[k] * dec.vectors[:, k])
@@ -73,6 +78,20 @@ def test_canonical_sigma_hand_example():
     for j in sig.jumps:
         assert abs(j.alpha[0] - 1.0 / math.sqrt(2.0)) < 1e-15
         assert abs(j.alpha[0] ** 2 - 0.5) < 1e-15
+
+
+def test_canonical_sigma_ignores_eigenvector_signs():
+    # the second matrix has two double eigenvalues, so ties are ordered too
+    rng = np.random.default_rng(11)
+    for A in (bs.sampling.random_band_matrix(rng, 3, 9, j0=1),
+              bs.BandMatrix(2, 4, ((0.3, 0.3, -0.5, -0.5), (0.0,) * 3, (0.9, 0.9)))):
+        sig = bs.canonical_spectral_function(A)
+        dec = bs.eig_symmetric(bs.to_dense(A))
+        for signs in (-np.ones(A.N), rng.choice([-1.0, 1.0], A.N)):
+            flipped = bs.SpectralFunction(
+                A.n, zip(dec.values, (dec.vectors * signs)[: A.n].T))
+            assert flipped == sig
+            assert helpers.bits(flipped.jumps) == helpers.bits(sig.jumps)
 
 
 def test_canonical_sigma_sums_to_identity():
@@ -142,7 +161,7 @@ def test_validate_sigma_accepts_canonical():
 
 
 def test_validate_sigma_rejects_dead_component():
-    sig = bs.spectral_function(
+    sig = bs.SpectralFunction(
         2, [(-1.0, (0.6, 0.0)), (0.5, (0.7, 0.0)), (2.0, (0.2, 0.0))]
     )
     with pytest.raises(DeadComponent):
@@ -150,7 +169,7 @@ def test_validate_sigma_rejects_dead_component():
 
 
 def test_validate_sigma_rejects_zero_jump():
-    sig = bs.spectral_function(1, [(-1.0, (0.7,)), (1.0, (0.0,))])
+    sig = bs.SpectralFunction(1, [(-1.0, (0.7,)), (1.0, (0.0,))])
     with pytest.raises(ZeroJump):
         bs.validate_sigma(sig)
 
@@ -167,7 +186,7 @@ def test_underflowed_weight_is_a_numerical_refusal():
 
 def test_validate_sigma_rejects_rank_mismatch():
     # two jumps at one node with parallel directions merge to rank one
-    sig = bs.spectral_function(2, [(1.0, (0.6, 0.3)), (1.0, (1.2, 0.6))])
+    sig = bs.SpectralFunction(2, [(1.0, (0.6, 0.3)), (1.0, (1.2, 0.6))])
     with pytest.raises(RankSumMismatch):
         bs.validate_sigma(sig)
 
@@ -175,10 +194,10 @@ def test_validate_sigma_rejects_rank_mismatch():
 def test_merged_jumps_node_tolerance():
     x = 1.0
     close = x + 5e-11  # inside the relative merge window
-    sig = bs.spectral_function(1, [(x, (0.5,)), (close, (0.5,))])
+    sig = bs.SpectralFunction(1, [(x, (0.5,)), (close, (0.5,))])
     assert len(bs.merged_jump_matrices(sig)) == 1
 
-    sig = bs.spectral_function(1, [(x, (0.5,)), (x + 1.0, (0.5,))])
+    sig = bs.SpectralFunction(1, [(x, (0.5,)), (x + 1.0, (0.5,))])
     assert len(bs.merged_jump_matrices(sig)) == 2
 
 
@@ -200,7 +219,7 @@ def test_merged_jumps_invariant_under_eigenspace_rotation():
         W = V @ R
         for col in range(2):
             pairs.append((float(np.mean(dec.values[block])), tuple(W[:2, col])))
-    rotated = bs.spectral_function(2, pairs)
+    rotated = bs.SpectralFunction(2, pairs)
     merged2 = bs.merged_jump_matrices(rotated)
     assert len(merged2) == 2
     for (x1, M1), (x2, M2) in zip(merged, merged2):
@@ -257,8 +276,8 @@ def test_inner_is_bit_exact_symmetric(data):
     for i in range(k):
         x = data.draw(num)
         alpha = tuple(data.draw(num) for _ in range(n))
-        pairs.append((x + i, alpha))  # shift apart so sorting is stable
-    sig = bs.spectral_function(n, pairs)
+        pairs.append((x + i, alpha))  # shift the nodes apart
+    sig = bs.SpectralFunction(n, pairs)
     coeff = st.floats(min_value=-3, max_value=3, allow_nan=False, width=64)
     comps_r = [tuple(data.draw(coeff) for _ in range(3)) for _ in range(n)]
     comps_s = [tuple(data.draw(coeff) for _ in range(3)) for _ in range(n)]
@@ -270,9 +289,11 @@ def test_inner_is_bit_exact_symmetric(data):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_array_storage_matches_per_jump_reference(data):
-    """The (x, alpha) arrays give bit for bit what the per-jump loops in
-    helpers give, round-trip through jumps, compare and hash by value,
-    and refuse wrong coefficient counts and unsorted nodes."""
+    """The (x, alpha) arrays hold the canonical form of the jumps, in
+    any order and with any signs, and give bit for bit what the
+    per-jump loops in helpers give on it; they round-trip through
+    jumps, compare and hash by value, and refuse wrong coefficient
+    counts."""
     n = data.draw(st.integers(min_value=1, max_value=4))
     N = data.draw(st.integers(min_value=0, max_value=6))
     num = st.one_of(
@@ -281,14 +302,15 @@ def test_array_storage_matches_per_jump_reference(data):
     )
     # repeated and merge-close nodes exercise the grouping
     node = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1.0 + 5e-11]), num)
-    xs = sorted(data.draw(node) for _ in range(N))
+    xs = [data.draw(node) for _ in range(N)]
     jumps = tuple(bs.Jump(x, tuple(data.draw(num) for _ in range(n)))
                   for x in xs)
     sig = bs.SpectralFunction(n, jumps)
 
     assert sig.N == N and sig.x.shape == (N,) and sig.alpha.shape == (N, n)
     assert all(type(j.alpha) is tuple for j in sig.jumps)
-    assert helpers.bits(sig.jumps) == helpers.bits(jumps)
+    canon = helpers.ref_canonical(jumps)
+    assert helpers.bits(sig.jumps) == helpers.bits(canon)
     again = bs.SpectralFunction(n, sig.jumps)
     assert again == sig and hash(again) == hash(sig)
     # a zero's sign is no part of the value
@@ -299,8 +321,9 @@ def test_array_storage_matches_per_jump_reference(data):
         n, [(flip(x), tuple(map(flip, a))) for x, a in jumps])
     assert flipped == sig and hash(flipped) == hash(sig)
     if N:
+        # |alpha_1| grows, so the bumped vector is neither alpha nor -alpha
         bumped = bs.SpectralFunction(
-            n, ((jumps[0].x, (jumps[0].alpha[0] + 1.0,) + jumps[0].alpha[1:]),)
+            n, ((jumps[0].x, (abs(jumps[0].alpha[0]) + 1.0,) + jumps[0].alpha[1:]),)
             + jumps[1:])
         assert bumped != sig
 
@@ -313,17 +336,17 @@ def test_array_storage_matches_per_jump_reference(data):
         rows.append(tuple(row))
     T = bs.TriangularInit(n, tuple(rows))
     assert helpers.bits(bs.transform_spectral_function(sig, T).jumps) == \
-        helpers.bits(helpers.ref_transform(jumps, T))
+        helpers.bits(helpers.ref_canonical(helpers.ref_transform(canon, T)))
     assert helpers.bits(bs.jump_sum(sig)) == \
-        helpers.bits(helpers.ref_jump_sum(n, jumps))
+        helpers.bits(helpers.ref_jump_sum(n, canon))
     assert helpers.bits(bs.merged_jump_matrices(sig)) == \
-        helpers.bits(helpers.ref_merged_jump_matrices(jumps))
+        helpers.bits(helpers.ref_merged_jump_matrices(canon))
     try:
         bs.validate_sigma(sig)
         verdict = None
     except ValidationError as exc:
         verdict = type(exc)
-    assert verdict is helpers.ref_validate_sigma(n, jumps)
+    assert verdict is helpers.ref_validate_sigma(n, canon)
 
     if N:
         k = data.draw(st.integers(min_value=0, max_value=N - 1))
@@ -331,6 +354,10 @@ def test_array_storage_matches_per_jump_reference(data):
             else jumps[k].alpha[:-1]
         with pytest.raises(DimensionMismatch, match="coefficients"):
             bs.SpectralFunction(n, jumps[:k] + ((jumps[k].x, wrong),) + jumps[k + 1:])
-    if N >= 2 and xs[0] < xs[-1]:
-        with pytest.raises(DimensionMismatch, match="sorted"):
-            bs.SpectralFunction(n, jumps[::-1])
+    # neither the order of the jumps nor their signs is part of the value
+    order = data.draw(st.permutations(range(N)))
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=N, max_size=N))
+    shuffled = bs.SpectralFunction(
+        n, [(jumps[k].x, tuple(s * a for a in jumps[k].alpha))
+            for k, s in zip(order, signs)])
+    assert helpers.bits(shuffled.jumps) == helpers.bits(sig.jumps)
