@@ -5,7 +5,9 @@ Write mode runs the direct problem, the initial-value transform and
 JSON line per case holding the spectral function reconstructed from
 (nodes and coefficient vectors) and every output field, floats as hex
 so that two files compare bit for bit, or the refusal class and
-message.  Compare mode reads two such files and prints, per field, how
+message.  The vector polynomials are not written: they follow from
+the matrix, the initial values and the profile through
+`solve_recurrence`.  Compare mode reads two such files and prints, per field, how
 many cases differ, plus the largest absolute difference in the matrix.
 
 Grid, drawn from seed 0: n in 1..8, N in {8, 16, 32, 48, 64} (N > n),
@@ -71,8 +73,6 @@ def fingerprint(key, tol):
         iterations=gs.iterations,
         node_frame=hexes([gs.node_scale, gs.node_center]),
         values=hexes(gs.values),
-        basis=[hexes(p.coef) for p in gs.basis],
-        generators=[hexes(q.coef) for q in gs.generators],
     )
     return row
 

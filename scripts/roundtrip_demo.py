@@ -37,7 +37,7 @@ def run_once(args):
           % (list(gs.generator_heights), sum(gs.generator_heights),
              A.N * A.n + A.n * (A.n - 1) // 2))
     print("candidates consumed: %d for %d basis members"
-          % (gs.iterations, len(gs.basis)))
+          % (gs.iterations, len(gs.values)))
     print("max matrix deviation: %.3e" % dev)
     print("max initial-value deviation from identity: %.3e" % tdev)
 

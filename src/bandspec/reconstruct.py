@@ -11,15 +11,15 @@ value matrix as the constant coefficients of the first n members.
 
 Internally all nodes are mapped affinely onto [-1, 1] before
 orthogonalization; monomial coefficient growth on wide node ranges
-would otherwise swamp the zero-norm decisions.  The output polynomials
-are therefore expressed in the scaled variable
+would otherwise swamp the zero-norm decisions.  The scaled variable
 
-    y = (x - node_center) / node_scale,
+    y = (x - node_center) / node_scale
 
-recorded in the result, and the matrix is mapped back exactly through
+is recorded in the result, and the matrix is mapped back exactly through
 A = node_scale * A_scaled + node_center * I.  Inner products, every
 zero-norm decision and the band come from the basis node values alone;
-the coefficient polynomials are outputs, each built once.
+only the first n members are built as polynomials, for the initial
+values.  The basis and generators, in x, come from solve_recurrence.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from . import vecpoly
-from .vecpoly import linear_combine, trim_small
+from .vecpoly import linear_combine
 from .bandmat import BandMatrix, TriangularInit, validate_band
 from .spectral import validate_sigma
 
@@ -52,23 +52,22 @@ BAND_TOL = 1e-9
 class Orthogonalization:
     """Result of the degenerate Gram-Schmidt run.
 
-    Equality is identity: the values array has no single truth value.
+    Equality is identity: the arrays have no single truth value.
 
-    basis and generators are vector polynomials in the scaled variable
-    y = (x - node_center) / node_scale; heights are unaffected by the
-    scaling.  values row k holds the numbers alpha(x_l) . basis[k](y_l)
-    for all jumps l, which is all later stages need to form inner
-    products (row_j . row_k is exactly <basis_j, basis_k>).
+    values row k holds alpha(x_l) . p_k(x_l) for all jumps l, p_k the
+    basis member at height basis_heights[k]: all later stages need to
+    form inner products (row_j . row_k is exactly <p_j, p_k>).  Column h
+    of first_block holds the constants of the member at height h < n
+    (zeros if that height fell into the zero class).
     """
 
-    basis: tuple
-    generators: tuple
     basis_heights: tuple
     generator_heights: tuple
     iterations: int
     node_scale: float
     node_center: float
     values: np.ndarray
+    first_block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def height_degeneration_indices(gs):
     h(basis_k) = h(generator_j) - n; a missing position means the
     orthogonalization output is internally inconsistent.
     """
-    n = len(gs.generators)
+    n = len(gs.generator_heights)
     m = []
     for j, gh in enumerate(gs.generator_heights):
         target = gh - n
@@ -109,8 +108,8 @@ def gram_schmidt(sigma, tol_zero=1e-8):
     """Orthonormalize the graded monomial sequence against sigma.
 
     Runs modified Gram-Schmidt with one full re-orthogonalization pass
-    per candidate on the node values, then builds the candidate's
-    polynomial once.  Its residual norm is compared against
+    per candidate on the node values; only the first n members become
+    polynomials, for their constants.  Each residual norm is compared against
     tau = tol_zero * sqrt(<e_i, e_i> + 1): above 10 tau it joins the
     basis (normalized), below tau / 10 it is a zero-class event whose
     height residue mod n either contributes a new generator or repeats
@@ -154,21 +153,20 @@ def gram_schmidt(sigma, tol_zero=1e-8):
 
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
-    basis, gens = [], []
     bheights, gheights = [], []
-    vrows = []
-    known_residues = set()
+    vrows, first = [], []
+    consts = np.zeros((n, n))
     i = 0
-    while len(basis) < N or len(gens) < n:
+    while len(vrows) < N or len(gheights) < n:
         i += 1
         if i > cap:
             raise IterationCapExceeded(
                 "consumed %d candidates (cap %d) with %d basis members and "
                 "%d generators; the input is not the spectral function of "
                 "any admissible band matrix, or tol_zero=%g is ill-chosen"
-                % (i, cap, len(basis), len(gens), tol_zero)
+                % (i, cap, len(vrows), len(gheights), tol_zero)
             )
-        if len(basis) == N and len(gens) == n - 1:
+        if len(vrows) == N and len(gheights) == n - 1:
             # only one generator height remains possible
             forced = total_height - sum(gheights)
             if i - 1 > forced:
@@ -178,37 +176,35 @@ def gram_schmidt(sigma, tol_zero=1e-8):
                 )
         slot = (i - 1) % n
         deg = (i - 1) // n
-        terms = [(1.0, vecpoly.basis_vector(i, n))]
         v = sigma.alpha[:, slot] * y ** deg
         tau = tol_zero * math.sqrt(float(v @ v) + 1.0)
+        proj = []
         for _ in range(2):
-            for k in range(len(basis)):
+            for k in range(len(vrows)):
                 h = float(vrows[k] @ v)
                 if h != 0.0:
                     v = v - h * vrows[k]
-                    terms.append((-h, basis[k]))
-        # summed in projection order, so the coefficients round exactly
-        # as if the candidate had been updated after every projection
-        cand = linear_combine(terms)
+                    proj.append((-h, k))
         nrm = math.sqrt(float(v @ v))
         if nrm > 10.0 * tau:
-            if len(basis) == N:
+            if len(vrows) == N:
                 raise IterationCapExceeded(
                     "candidate %d has norm %g after projection on a full "
                     "basis; the input is not an admissible spectral function"
                     % (i, nrm)
                 )
-            p = linear_combine([(1.0 / nrm, cand)])
-            # lower-height subtractions never touch the leading slot,
-            # so the height survives orthogonalization exactly
-            assert vecpoly.height(p) == i - 1
-            basis.append(p)
+            if i <= n:
+                # a constant: summed in projection order, so it rounds as
+                # if updated after every projection; lower heights never
+                # touch its leading slot, entry i - 1
+                cand = linear_combine([(1.0, vecpoly.basis_vector(i, n))]
+                                      + [(c, first[k]) for c, k in proj])
+                first.append(linear_combine([(1.0 / nrm, cand)]))
+                consts[:i, i - 1] = first[-1].coef
             bheights.append(i - 1)
             vrows.append(v / nrm)
         elif nrm < 0.1 * tau:
-            if slot not in known_residues:
-                known_residues.add(slot)
-                gens.append(trim_small(cand))
+            if all(g % n != slot for g in gheights):
                 gheights.append(i - 1)
             # a repeated residue lies in the module generated by the
             # known generators; nothing new to record
@@ -225,16 +221,15 @@ def gram_schmidt(sigma, tol_zero=1e-8):
             % (tuple(gheights), sum(gheights), total_height)
         )
     values = np.array(vrows)
-    values.flags.writeable = False
+    values.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
-        basis=tuple(basis),
-        generators=tuple(gens),
         basis_heights=tuple(bheights),
         generator_heights=tuple(gheights),
         iterations=i,
         node_scale=scale,
         node_center=center,
         values=values,
+        first_block=consts,
     )
 
 
@@ -256,7 +251,7 @@ def matrix_from_basis(sigma, gs):
     ProfileMismatch
         The basis and generator heights are mutually inconsistent.
     """
-    n, N = sigma.n, len(gs.basis)
+    n, N = sigma.n, len(gs.values)
     y = (sigma.x - gs.node_center) / gs.node_scale
     V = gs.values
     C = (V * y) @ V.T
@@ -284,25 +279,22 @@ def matrix_from_basis(sigma, gs):
 
 
 def initial_conditions(gs):
-    """Initial-value matrix read off the first n basis members.
+    """Initial-value matrix: the constants of the first n basis members.
 
-    Member j (j <= n) must be a constant vector polynomial; its
-    component i is the entry t_ij.  The orthogonalization order makes
-    the result upper triangular with positive diagonal whenever the
-    input really was a spectral function.
+    Member j (j <= n) must have height j - 1, that is be a constant
+    vector polynomial; its component i is the entry t_ij.  The
+    orthogonalization order makes the result upper triangular with
+    positive diagonal whenever the input really was a spectral function.
     """
-    n = gs.basis[0].n
-    T = np.zeros((n, n))
-    for j, p in enumerate(gs.basis[:n]):
+    n = len(gs.first_block)
+    for j, h in enumerate(gs.basis_heights[:n]):
         # heights 0 .. n-1 are exactly the constant terms
-        if len(p.coef) > n:
+        if h >= n:
             raise NotTriangular(
                 "basis member %d is not constant (height %d); the "
-                "input cannot come from an admissible matrix"
-                % (j + 1, gs.basis_heights[j])
+                "input cannot come from an admissible matrix" % (j + 1, h)
             )
-        T[: len(p.coef), j] = p.coef
-    return TriangularInit(n, tuple(map(tuple, T)))
+    return TriangularInit(n, tuple(map(tuple, gs.first_block)))
 
 
 def reconstruct(sigma, tol_zero=1e-8):

@@ -72,6 +72,8 @@ class SpectralFunction:
     alpha: np.ndarray
 
     def __init__(self, n, jumps):
+        if n < 1:
+            raise DimensionMismatch("component count must be >= 1, got %d" % n)
         jumps = tuple(jumps)
         for x, alpha in jumps:
             if len(alpha) != n:
@@ -107,9 +109,8 @@ def _own(sigma, n, x, alpha):
     canonical form of the jumps (x, alpha): sorted by node, exact ties by
     alpha entry by entry, each alpha's first nonzero entry positive and,
     by adding 0.0, no zero negative."""
-    if n:  # argmax needs at least one coefficient
-        lead = alpha[np.arange(len(x)), np.argmax(alpha != 0.0, axis=1)]
-        alpha = alpha * np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    lead = alpha[np.arange(len(x)), np.argmax(alpha != 0.0, axis=1)]
+    alpha = alpha * np.where(lead < 0.0, -1.0, 1.0)[:, None]
     order = np.lexsort((*alpha.T[::-1], x))
     x, alpha = x[order] + 0.0, alpha[order] + 0.0
     x.flags.writeable = alpha.flags.writeable = False

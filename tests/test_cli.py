@@ -284,6 +284,13 @@ def test_validate_rejects_diagonal_matrix_as_outside_class(tmp_path, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_sigma_without_components_is_malformed(tmp_path, capsys, n):
+    path = write(tmp_path, "empty.json", '{"n": %d, "N": 0, "jumps": []}' % n)
+    assert main(["inverse", path]) == 1
+    assert "DimensionMismatch" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     path = write(
         tmp_path, "m37.json", fileio.dump_matrix(seven_by_seven())

@@ -11,6 +11,7 @@ from bandspec.errors import (
     AmbiguousNorm,
     BandViolation,
     IterationCapExceeded,
+    NotTriangular,
     ProfileMismatch,
 )
 
@@ -27,12 +28,15 @@ def test_gram_schmidt_hand_example():
     assert gs.basis_heights == (0, 1)
     assert gs.generator_heights == (2,)
 
-    p1, p2 = gs.basis
+    # the polynomials come from the recurrence on the result
+    rec = bs.reconstruct(flip_sigma())
+    table = bs.solve_recurrence(rec.matrix, rec.tinit, rec.profile)
+    p1, p2 = table.basis
     assert len(p1.comps[0]) == 1 and abs(p1.comps[0][0] - 1.0) < 1e-14
     assert abs(p2.comps[0][1] - 1.0) < 1e-14
     assert abs(p2.comps[0][0]) < 1e-14
 
-    (q,) = gs.generators
+    (q,) = table.generators
     c = q.comps[0]
     assert len(c) == 3
     assert abs(c[0] + 1.0) < 1e-14 and abs(c[1]) < 1e-14 and abs(c[2] - 1.0) < 1e-14
@@ -298,14 +302,55 @@ def test_rescaled_sigma_matches_stored_values():
     rng = np.random.default_rng(40)
     A = bs.sampling.random_band_matrix(rng, 2, 9, j0=1)
     sig = bs.canonical_spectral_function(A)
-    gs = bs.gram_schmidt(sig, tol_zero=1e-10)
+    rec = bs.reconstruct(sig, tol_zero=1e-10)
+    gs = rec.diagnostics
     # nodes mapped through y = (x - center) / scale, coefficients kept
     ssig = bs.SpectralFunction(sig.n, [
         ((j.x - gs.node_center) / gs.node_scale, j.alpha) for j in sig.jumps])
     ys = [j.x for j in ssig.jumps]
     assert min(ys) == -1.0 and max(ys) == 1.0
-    for a in range(len(gs.basis)):
-        for b in range(a, len(gs.basis)):
-            via_inner = bs.inner(ssig, gs.basis[a], gs.basis[b])
+    # the recurrence polynomials live in x; their node values are the
+    # ones stored for the scaled frame
+    basis = bs.solve_recurrence(rec.matrix, rec.tinit, rec.profile).basis
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            via_inner = bs.inner(sig, basis[a], basis[b])
             via_values = float(gs.values[a] @ gs.values[b])
             assert abs(via_inner - via_values) < 1e-12
+
+
+def test_recurrence_on_result_reproduces_orthogonalization():
+    # the basis and generators are no output of gram_schmidt; the
+    # recurrence run on the reconstruction must agree with what the
+    # orthogonalization decided and stored
+    for n in (1, 2, 3):
+        for N in (4, 6, 9, 12):
+            for j0 in range(n if N >= n + 2 else 1):
+                for with_t in (0, 1):
+                    rng = np.random.default_rng((n, N, j0, with_t))
+                    A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
+                    sig = bs.canonical_spectral_function(A)
+                    if with_t:
+                        sig = bs.transform_spectral_function(
+                            sig, bs.sampling.random_tinit(rng, n))
+                    rec = bs.reconstruct(sig)
+                    gs = rec.diagnostics
+                    table = bs.solve_recurrence(rec.matrix, rec.tinit, rec.profile)
+                    assert tuple(bs.height(p) for p in table.basis) == gs.basis_heights
+                    assert ({bs.height(q) for q in table.generators}
+                            == set(gs.generator_heights))
+                    for k, p in enumerate(table.basis):
+                        for l, (x, alpha) in enumerate(zip(sig.x, sig.alpha)):
+                            got = float(alpha @ bs.evaluate(p, x))
+                            assert abs(got - gs.values[k, l]) < 1e-10
+
+
+def test_initial_conditions_refuses_nonconstant_first_block():
+    rng = np.random.default_rng(41)
+    A = bs.sampling.random_band_matrix(rng, 2, 6)
+    gs = bs.gram_schmidt(bs.canonical_spectral_function(A))
+    assert gs.basis_heights[:2] == (0, 1)
+    bs.initial_conditions(gs)
+    shifted = tuple(h + 1 if h else h for h in gs.basis_heights)
+    with pytest.raises(NotTriangular, match="basis member 2 is not constant"):
+        bs.initial_conditions(dataclasses.replace(gs, basis_heights=shifted))
