@@ -8,8 +8,10 @@ Three families matter to callers (and to the CLI exit-code mapping):
   admissible class (band pattern, spectral-function membership,
   triangularity, ...).  CLI exit code 2.
 * ``NumericalDecisionError`` - a tolerance-based decision could not be
-  made safely (ambiguous zero-norm test, iteration cap, vanishing
-  denominator, a spectral weight lost to underflow).  CLI exit code 3.
+  made safely, or the answer would not be accurate (ambiguous
+  zero-norm test, iteration cap, an ill-conditioned reconstruction,
+  vanishing denominator, a spectral weight lost to underflow).  CLI
+  exit code 3.
 """
 
 
@@ -120,6 +122,12 @@ class IterationCapExceeded(NumericalDecisionError):
 class AmbiguousNorm(NumericalDecisionError):
     """A Gram-Schmidt residual norm falls within a factor 10 of the
     zero-norm threshold; the zero/nonzero decision is unsafe."""
+
+
+class IllConditioned(NumericalDecisionError):
+    """The perturbed replays of a reconstruction moved the matrix or the
+    initial values too far: the condition estimate times eps exceeds
+    the accuracy bound, so the answer cannot be trusted."""
 
 
 class WeightUnderflow(NumericalDecisionError):

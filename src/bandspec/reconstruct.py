@@ -1,17 +1,24 @@
 """Reconstruction of a band matrix from a spectral function.
 
-The inverse route orthogonalizes the graded monomial sequence e_1,
-e_2, ... against the degenerate inner product carried by the spectral
-function.  Exactly N members survive with positive norm (the
-orthonormal basis); the candidates that collapse to norm zero reveal,
-one per height residue class mod n, the n generators of the zero
-class.  The band matrix is then read off as the representation of
-multiplication by the variable in the surviving basis, and the initial
-value matrix as the constant coefficients of the first n members.
+The inverse route is band Lanczos with deflation over node values.  A
+vector polynomial p is carried by its values alpha(x_l) . p(x_l) at
+the N jumps, so the degenerate inner product is a dot product of
+length-N vectors and multiplication by the variable is a pointwise
+product with the nodes.  The candidate at height h < n is the constant
+e_{h+1}, with node values alpha[:, h]; above that it is the variable
+times the basis member at height h - n, the Krylov form of the
+recurrence A r(z) = z r(z).  Each candidate is orthogonalized against
+every accepted member by two block classical Gram-Schmidt passes.
+Exactly N candidates survive with positive norm (the orthonormal
+basis).  A candidate that collapses to norm zero is a generator of the
+zero class; its height residue class mod n is then dead and yields no
+further candidates, so the n generators have distinct residues.  The
+band matrix is the representation of multiplication by the variable
+in the basis, and the initial value matrix holds the constants of the
+first n members.
 
-Internally all nodes are mapped affinely onto [-1, 1] before
-orthogonalization; monomial coefficient growth on wide node ranges
-would otherwise swamp the zero-norm decisions.  The scaled variable
+Internally all nodes are mapped affinely onto [-1, 1].  The scaled
+variable
 
     y = (x - node_center) / node_scale
 
@@ -20,10 +27,22 @@ A = node_scale * A_scaled + node_center * I.  Inner products, every
 zero-norm decision and the band come from the basis node values alone;
 only the first n members are built as polynomials, for the initial
 values.  The basis and generators, in x, come from solve_recurrence.
+
+A run that decides every norm may still amplify rounding past the
+accuracy bound, so reconstruct gates its answer.  It replays the run
+GATE_REPLAYS times, with every decision pinned to the base run's
+heights, on seeded perturbations of the input: the nodes by a relative
+GATE_STEP, the coefficient vectors by an absolute GATE_STEP (eigh gives
+eigenvector entries an absolute error).  The largest change of the
+dense matrix or of the initial values, divided by GATE_STEP, estimates
+the condition number (small-sample statistical condition estimation,
+Kenney & Laub, SIAM J. Sci. Comput. 15, 1994).  An estimate times the
+machine epsilon above GATE_BOUND raises IllConditioned.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +52,7 @@ from .errors import (
     AmbiguousNorm,
     BandViolation,
     DimensionMismatch,
+    IllConditioned,
     IterationCapExceeded,
     NotTriangular,
     ProfileMismatch,
@@ -47,10 +67,16 @@ from .spectral import validate_sigma
 #: outside the band or in a degenerate range of the recovered matrix.
 BAND_TOL = 1e-9
 
+#: The conditioning gate: number of perturbed replays, the perturbation
+#: size, and the largest condition estimate times eps that may return.
+GATE_REPLAYS = 5
+GATE_STEP = 1e-10
+GATE_BOUND = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class Orthogonalization:
-    """Result of the degenerate Gram-Schmidt run.
+    """Result of the band-Lanczos run.
 
     Equality is identity: the arrays have no single truth value.
 
@@ -58,7 +84,9 @@ class Orthogonalization:
     basis member at height basis_heights[k]: all later stages need to
     form inner products (row_j . row_k is exactly <p_j, p_k>).  Column h
     of first_block holds the constants of the member at height h < n
-    (zeros if that height fell into the zero class).
+    (zeros if that height fell into the zero class).  iterations counts
+    the heights consumed, including those skipped in dead residue
+    classes.
     """
 
     basis_heights: tuple
@@ -104,17 +132,30 @@ def height_degeneration_indices(gs):
     return tuple(m)
 
 
-def gram_schmidt(sigma, tol_zero=1e-8):
-    """Orthonormalize the graded monomial sequence against sigma.
+def _project(Q, v):
+    """Two block classical Gram-Schmidt passes of the rows v against the
+    rows of Q (both with the same leading axes); returns the residual and
+    the summed coefficients of both passes."""
+    Qt = Q.swapaxes(-1, -2)
+    p = v @ Qt
+    v = v - p @ Q
+    q = v @ Qt
+    return v - q @ Q, p + q
 
-    Runs modified Gram-Schmidt with one full re-orthogonalization pass
-    per candidate on the node values; only the first n members become
-    polynomials, for their constants.  Each residual norm is compared against
-    tau = tol_zero * sqrt(<e_i, e_i> + 1): above 10 tau it joins the
-    basis (normalized), below tau / 10 it is a zero-class event whose
-    height residue mod n either contributes a new generator or repeats
-    a known one, and anything in between stops the computation rather
-    than guess.
+
+def gram_schmidt(sigma, tol_zero=1e-8):
+    """Orthonormalize the candidates of band Lanczos against sigma.
+
+    Walks the heights 0, 1, 2, ...: the candidate at height h < n is
+    the constant e_{h+1}, above that it is y times the basis member at
+    height h - n, and a height whose class has died is skipped.  Each
+    candidate gets two block Gram-Schmidt passes on the node values;
+    only the first n members become polynomials, for their constants.
+    Each residual norm is compared against tau = tol_zero *
+    sqrt(|candidate|^2 + 1): above 10 tau it joins the basis
+    (normalized), below tau / 10 it is a generator of the zero class
+    and its residue mod n dies, and anything in between stops the
+    computation rather than guess.
 
     Parameters
     ----------
@@ -133,9 +174,11 @@ def gram_schmidt(sigma, tol_zero=1e-8):
     AmbiguousNorm
         A residual norm fell within a factor 10 of tau.
     IterationCapExceeded
-        More candidates were consumed than any admissible spectral
+        More heights were consumed than any admissible spectral
         function allows (cap n(N-n+1)+1, from the height-sum identity),
-        or the generator heights ended up violating that identity.
+        a candidate survived projection on a full basis, the classes
+        died with fewer than N basis members, or the generator heights
+        violate the height-sum identity.
     """
     n, N = sigma.n, sigma.N
     if N <= n:
@@ -149,88 +192,154 @@ def gram_schmidt(sigma, tol_zero=1e-8):
         # a single node carries rank at most n < N, so validated input
         # cannot land here
         raise DimensionMismatch("all nodes coincide")
-    y = (sigma.x - center) / scale
+    y = ((sigma.x - center) / scale)[None, :]
 
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
-    bheights, gheights = [], []
-    vrows, first = [], []
-    consts = np.zeros((n, n))
-    i = 0
-    while len(vrows) < N or len(gheights) < n:
-        i += 1
-        if i > cap:
+    consts_of = sigma.alpha.T[:, None, :]  # row h: values of e_{h+1}
+    Q = np.zeros((N, N))
+    row = {}  # accepted height -> its row of Q
+    gheights, block = [], []
+    h = -1
+    while len(gheights) < n:
+        h += 1
+        if h >= cap:
             raise IterationCapExceeded(
-                "consumed %d candidates (cap %d) with %d basis members and "
+                "consumed %d heights (cap %d) with %d basis members and "
                 "%d generators; the input is not the spectral function of "
                 "any admissible band matrix, or tol_zero=%g is ill-chosen"
-                % (i, cap, len(vrows), len(gheights), tol_zero)
+                % (h + 1, cap, len(row), len(gheights), tol_zero)
             )
-        if len(vrows) == N and len(gheights) == n - 1:
-            # only one generator height remains possible
-            forced = total_height - sum(gheights)
-            if i - 1 > forced:
-                raise IterationCapExceeded(
-                    "no zero-class event at height %d, where the height-sum "
-                    "identity forces the last generator" % forced
-                )
-        slot = (i - 1) % n
-        deg = (i - 1) // n
-        v = sigma.alpha[:, slot] * y ** deg
-        tau = tol_zero * math.sqrt(float(v @ v) + 1.0)
-        proj = []
-        for _ in range(2):
-            for k in range(len(vrows)):
-                h = float(vrows[k] @ v)
-                if h != 0.0:
-                    v = v - h * vrows[k]
-                    proj.append((-h, k))
-        nrm = math.sqrt(float(v @ v))
+        if h >= n and h - n not in row:
+            continue  # the residue class of h is dead
+        v = consts_of[h] if h < n else y * Q[row[h - n], None]
+        tau = tol_zero * math.sqrt(float(np.vdot(v, v)) + 1.0)
+        r = len(row)
+        v, c = _project(Q[:r], v)
+        nrm = math.sqrt(float(np.vdot(v, v)))
         if nrm > 10.0 * tau:
-            if len(vrows) == N:
+            if r == N:
                 raise IterationCapExceeded(
-                    "candidate %d has norm %g after projection on a full "
-                    "basis; the input is not an admissible spectral function"
-                    % (i, nrm)
+                    "candidate at height %d has norm %g after projection on "
+                    "a full basis; the input is not an admissible spectral "
+                    "function" % (h, nrm)
                 )
-            if i <= n:
-                # a constant: summed in projection order, so it rounds as
-                # if updated after every projection; lower heights never
-                # touch its leading slot, entry i - 1
-                cand = linear_combine([(1.0, vecpoly.basis_vector(i, n))]
-                                      + [(c, first[k]) for c, k in proj])
-                first.append(linear_combine([(1.0 / nrm, cand)]))
-                consts[:i, i - 1] = first[-1].coef
-            bheights.append(i - 1)
-            vrows.append(v / nrm)
+            Q[r] = v[0] / nrm
+            row[h] = r
+            if h < n:
+                block.append((h, c[0], nrm))
         elif nrm < 0.1 * tau:
-            if all(g % n != slot for g in gheights):
-                gheights.append(i - 1)
-            # a repeated residue lies in the module generated by the
-            # known generators; nothing new to record
+            gheights.append(h)
         else:
             raise AmbiguousNorm(
-                "candidate %d has residual norm %r within a factor 10 of "
-                "the zero threshold %r; tighten or loosen tol_zero to "
-                "decide" % (i, nrm, tau)
+                "candidate at height %d has residual norm %r within a "
+                "factor 10 of the zero threshold %r; tighten or loosen "
+                "tol_zero to decide" % (h, nrm, tau)
             )
+    if len(row) != N:
+        raise IterationCapExceeded(
+            "every residue class died with %d of %d basis members; the "
+            "input is not an admissible spectral function" % (len(row), N)
+        )
     if sum(gheights) != total_height:
         raise IterationCapExceeded(
             "generator heights %r sum to %d, but admissible spectral "
             "functions require %d"
             % (tuple(gheights), sum(gheights), total_height)
         )
-    values = np.array(vrows)
-    values.flags.writeable = consts.flags.writeable = False
+    first, consts = [], np.zeros((n, n))
+    for b, c, nrm in block:
+        # the member at height b < n is e_{b+1} minus its projections on
+        # the lower members, all constants
+        cand = linear_combine([(1.0, vecpoly.basis_vector(b + 1, n))]
+                              + [(-ck, p) for ck, p in zip(c, first)])
+        first.append(linear_combine([(1.0 / nrm, cand)]))
+        consts[:b + 1, b] = first[-1].coef
+    Q.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
-        basis_heights=tuple(bheights),
+        basis_heights=tuple(row),
         generator_heights=tuple(gheights),
-        iterations=i,
+        iterations=h + 1,
         node_scale=scale,
         node_center=center,
-        values=values,
+        values=Q,
         first_block=consts,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _perturbations(N, n):
+    """The gate's node and coefficient perturbation directions: replay k
+    draws g then G from default_rng(k)."""
+    g, G = np.empty((GATE_REPLAYS, N)), np.empty((GATE_REPLAYS, N, n))
+    for k in range(GATE_REPLAYS):
+        rng = np.random.default_rng(k)
+        g[k] = rng.standard_normal(N)
+        G[k] = rng.standard_normal((N, n))
+    g.flags.writeable = G.flags.writeable = False
+    return g, G
+
+
+def _replay(sigma, heights):
+    """The run on every perturbed input at once, with each decision
+    pinned to the accepted heights.  Returns the dense matrices, mapped
+    back to x, and the initial-value blocks, stacked over the replays."""
+    n, N = sigma.n, sigma.N
+    g, G = _perturbations(N, n)
+    x = sigma.x * (1.0 + GATE_STEP * g)
+    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
+    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    y = ((x - center) / scale)[:, None, :]
+    consts_of = np.moveaxis(sigma.alpha + GATE_STEP * G, 2, 0)[:, :, None, :]
+    Q = np.zeros((GATE_REPLAYS, N, N))
+    F = np.zeros((GATE_REPLAYS, n, n))
+    row = {}
+    for r, h in enumerate(heights):
+        v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
+        v, c = _project(Q[:, :r], v)
+        nrm = np.sqrt(v @ v.swapaxes(1, 2))
+        Q[:, r] = (v / nrm)[:, 0]
+        if h < n:
+            # column h of the initial values, as gram_schmidt builds it:
+            # every member so far is a constant at a lower height
+            col = -(F[:, :, list(row)] @ c.swapaxes(1, 2))[:, :, 0]
+            col[:, h] += 1.0
+            F[:, :, h] = col / nrm[:, 0]
+        row[h] = r
+    A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
+    A += center[:, :, None] * np.eye(N)
+    return A, F
+
+
+def _gate(sigma, gs):
+    """Refuse a run whose answer the input data do not determine to the
+    accuracy bound.
+
+    Replays the run of gs on GATE_REPLAYS seeded perturbations of sigma
+    (see the module docstring) and takes cond as the largest entry
+    change of the dense matrix (out-of-band entries included) or of
+    first_block over all replays, divided by GATE_STEP.
+
+    Raises
+    ------
+    IllConditioned
+        cond * eps exceeds GATE_BOUND, or a replay broke down.
+    """
+    y = (sigma.x - gs.node_center) / gs.node_scale
+    V = gs.values
+    A0 = gs.node_scale * ((V * y) @ V.T) + gs.node_center * np.eye(len(y))
+    with np.errstate(all="ignore"):
+        A, F = _replay(sigma, gs.basis_heights)
+        change = np.max((np.max(np.abs(A - A0)),
+                         np.max(np.abs(F - gs.first_block))))
+    cond = float(change) / GATE_STEP
+    eps = float(np.finfo(float).eps)
+    if not cond * eps <= GATE_BOUND:
+        raise IllConditioned(
+            "condition estimate %.3g: cond * eps = %.3g exceeds the bound "
+            "%g, so the input does not determine the matrix to that "
+            "accuracy in double precision" % (cond, cond * eps, GATE_BOUND)
+        )
 
 
 def matrix_from_basis(sigma, gs):
@@ -300,10 +409,10 @@ def initial_conditions(gs):
 def reconstruct(sigma, tol_zero=1e-8):
     """Full inverse problem: spectral function to band matrix.
 
-    Validates sigma, orthogonalizes, extracts the matrix and the
-    initial-value matrix, and cross-checks the degeneration profile
-    found in the matrix's zero pattern against the one implied by the
-    generator heights.
+    Validates sigma, orthogonalizes, gates the run on its condition
+    estimate, extracts the matrix and the initial-value matrix, and
+    cross-checks the degeneration profile found in the matrix's zero
+    pattern against the one implied by the generator heights.
 
     Returns
     -------
@@ -311,6 +420,10 @@ def reconstruct(sigma, tol_zero=1e-8):
 
     Raises
     ------
+    IllConditioned
+        The conditioning gate estimates that the input does not
+        determine the matrix or the initial values to the accuracy
+        bound; raised before any band or profile check.
     ProfileMismatch
         The reconstructed matrix's zero pattern disagrees with the
         height-derived degeneration indices (or fails band validation
@@ -318,6 +431,7 @@ def reconstruct(sigma, tol_zero=1e-8):
     """
     validate_sigma(sigma)
     gs = gram_schmidt(sigma, tol_zero)
+    _gate(sigma, gs)
     A = matrix_from_basis(sigma, gs)
     try:
         profile = validate_band(A)

@@ -134,20 +134,20 @@ def continued_fraction_check(chain, j):
         raise IndexOutOfRange(
             "need 2 <= j <= N-2, got j=%d with N=%d" % (j, N)
         )
-    m, k = chain.masses, chain.k
-    A = build_spring_matrix(chain)
-    d0 = A.entry(0, j)
-    d1_j = A.entry(1, j)
-    d2_j = A.entry(2, j)
-    d2_jm1 = A.entry(2, j - 1)
-    lhs = (k[j] + chain._kp(j)) / m[j]
+    m, k, kp = chain.masses, chain.k, chain._kp
+    # the four entries, by build_spring_matrix's expressions
+    d0 = -(k[j] + kp(j + 1) + k[j - 1] + kp(j - 1)) / m[j - 1]
+    d1_j = k[j] / math.sqrt(m[j - 1] * m[j])
+    d2_j = kp(j + 1) / math.sqrt(m[j - 1] * m[j + 1])
+    d2_jm1 = kp(j) / math.sqrt(m[j - 2] * m[j])
+    lhs = (k[j] + kp(j)) / m[j]
     num = (
         d1_j * d1_j
         + math.sqrt(m[j + 1] / m[j]) * d1_j * d2_j
         + math.sqrt(m[j - 2] / m[j - 1]) * d2_jm1 * d1_j
         + math.sqrt(m[j - 2] * m[j + 1] / (m[j] * m[j - 1])) * d2_j * d2_jm1
     )
-    den = abs(d0) - (k[j - 1] + chain._kp(j - 1)) / m[j - 1]
+    den = abs(d0) - (k[j - 1] + kp(j - 1)) / m[j - 1]
     if den == 0.0:
         raise DivisionByZero(
             "denominator |d0_%d| - (k_%d + kp_%d)/m_%d vanishes" % (j, j, j - 1, j)

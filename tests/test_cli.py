@@ -170,6 +170,19 @@ def test_inverse_reports_undecidable_residual(tmp_path, capsys):
     assert "AmbiguousNorm" in capsys.readouterr().err
 
 
+def test_inverse_refuses_ill_conditioned_sigma(tmp_path, capsys):
+    # seed (32, 16, 1) of scripts/tol_zero_table.py, n = 3: the data do
+    # not determine the matrix to the accuracy bound
+    rng = np.random.default_rng((32, 16, 1))
+    A = bs.sampling.random_band_matrix(rng, int(rng.integers(1, 9)), 32)
+    sig = bs.canonical_spectral_function(A)
+    path = write(tmp_path, "ill.json", fileio.dump_sigma(sig))
+    out = str(tmp_path / "back.json")
+    assert main(["inverse", path, "-o", out]) == 3
+    assert "IllConditioned" in capsys.readouterr().err
+    assert not (tmp_path / "back.json").exists()
+
+
 def test_spring_frequencies_exact_output(tmp_path, capsys):
     chain = bs.SpringChain((1.0, 1.0), (1.0, 1.0, 1.0), (0.0, 0.0))
     path = write(tmp_path, "two.json", fileio.dump_chain(chain))

@@ -2,16 +2,20 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bandspec as bs
 from bandspec.errors import (
     AmbiguousNorm,
     BandViolation,
+    IllConditioned,
     IterationCapExceeded,
     NotTriangular,
+    NumericalDecisionError,
     ProfileMismatch,
 )
 
@@ -288,14 +292,99 @@ def test_ambiguous_norm_trigger():
 
 
 def test_ambiguous_norm_at_conditioning_limit():
-    # half-bandwidth 1 at N = 32 sits beyond the monomial conditioning
-    # cliff: the residual decision has no safe threshold left, and the
-    # run must refuse rather than guess
+    # half-bandwidth 1 at N = 32 was beyond the monomial conditioning
+    # cliff; band Lanczos returns it within the bound, exact profile
     rng = np.random.default_rng(39)
     A = bs.sampling.random_jacobi(rng, 32)
+    rec = bs.reconstruct(bs.canonical_spectral_function(A), tol_zero=1e-12)
+    assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
+    assert rec.profile == bs.validate_band(A)
+    # where the data do not determine the matrix to the bound, every
+    # threshold must refuse rather than guess: the draw of
+    # scripts/tol_zero_table.py at seed (32, 16, 1), n = 3, whose
+    # smallest weight |alpha_k|^2 is 9e-11, came back 4.9e-8 off with
+    # the right profile from the monomial engine
+    rng = np.random.default_rng((32, 16, 1))
+    A = bs.sampling.random_band_matrix(rng, int(rng.integers(1, 9)), 32)
     sig = bs.canonical_spectral_function(A)
-    with pytest.raises(AmbiguousNorm):
-        bs.gram_schmidt(sig, tol_zero=1e-12)
+    for tol in (1e-8, 1e-10, 1e-12):
+        with pytest.raises(IllConditioned, match="exceeds the bound"):
+            bs.reconstruct(sig, tol_zero=tol)
+
+
+def test_gate_returns_well_conditioned_half_bandwidth_one():
+    # n = 1 at N = 24 came back 1.07e-8 off at tol_zero 1e-12 from the
+    # monomial engine; its condition estimate passes the gate
+    A = bs.sampling.random_band_matrix(np.random.default_rng((24, 1, 0)), 1, 24)
+    sig = bs.canonical_spectral_function(A)
+    for tol in (1e-8, 1e-10, 1e-12):
+        rec = bs.reconstruct(sig, tol_zero=tol)
+        assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
+        assert rec.profile == bs.validate_band(A)
+        assert np.max(np.abs(rec.tinit.dense() - np.eye(1))) < 1e-8
+
+
+def test_gate_refuses_before_band_checks(monkeypatch):
+    # an unstable run is a numerical limit (exit 3), never a class
+    # violation: on this input the band and profile checks alone would
+    # raise ProfileMismatch (exit 2), and the gate must come first
+    rng = np.random.default_rng((99, 2207))
+    n, N = int(rng.integers(1, 4)), int(rng.choice([40, 48, 56, 64]))
+    assert (n, N) == (2, 56)
+    sig = bs.canonical_spectral_function(bs.sampling.random_band_matrix(rng, n, N))
+    with pytest.raises(IllConditioned):
+        bs.reconstruct(sig)
+    monkeypatch.setattr(sys.modules["bandspec.reconstruct"], "_gate",
+                        lambda sigma, gs: None)
+    with pytest.raises(ProfileMismatch):
+        bs.reconstruct(sig)
+
+
+def test_gate_weighs_the_initial_values():
+    # a strongly sheared T: the matrix comes back within 1e-10, but the
+    # initial values from this run are more than 1e-8 off, and only
+    # their change under the replays carries the estimate over the bound
+    A = bs.sampling.random_band_matrix(np.random.default_rng(7), 2, 10)
+    T = bs.TriangularInit(2, ((1.0, 3e4), (0.0, 1.0)))
+    sig = bs.transform_spectral_function(bs.canonical_spectral_function(A), T)
+    gs = bs.gram_schmidt(sig)
+    A_got = bs.matrix_from_basis(sig, gs)
+    assert np.max(np.abs(bs.to_dense(A_got) - bs.to_dense(A))) < 1e-10
+    assert np.max(np.abs(gs.first_block - T.dense())) > 1e-8
+    with pytest.raises(IllConditioned):
+        bs.reconstruct(sig)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_inverse_contract(data):
+    """Every return is right and every refusal is numerical.
+
+    Over the CLI caps (n <= 8, N <= 64), any j0, with and without
+    random initial values, at the README's three tol_zero values: a
+    returned reconstruction gives back A and T within 1e-8 and the
+    exact profile; anything else must be a NumericalDecisionError
+    (exit 3), never a class violation.
+    """
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
+    with_t = data.draw(st.booleans())
+    tol = data.draw(st.sampled_from((1e-8, 1e-10, 1e-12)))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
+    T = bs.sampling.random_tinit(rng, n) if with_t else None
+    try:
+        sig = bs.canonical_spectral_function(A)
+        if T is not None:
+            sig = bs.transform_spectral_function(sig, T)
+        rec = bs.reconstruct(sig, tol_zero=tol)
+    except NumericalDecisionError:
+        return
+    assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) <= 1e-8
+    want_T = T.dense() if T is not None else np.eye(n)
+    assert np.max(np.abs(rec.tinit.dense() - want_T)) <= 1e-8
+    assert rec.profile == bs.validate_band(A)
 
 
 def test_rescaled_sigma_matches_stored_values():

@@ -191,3 +191,45 @@ def test_short_chain_has_no_interior_index():
     chain = uniform_chain(3)
     with pytest.raises(IndexOutOfRange):
         bs.continued_fraction_check(chain, 2)
+
+
+def _residual_from_matrix(chain, j):
+    """The identity's residual with the four entries read off the
+    assembled matrix; raises DivisionByZero like the library does."""
+    m, k = chain.masses, chain.k
+    A = bs.build_spring_matrix(chain)
+    d0, d1_j, d2_j, d2_jm1 = A.entry(0, j), A.entry(1, j), A.entry(2, j), A.entry(2, j - 1)
+    lhs = (k[j] + chain._kp(j)) / m[j]
+    num = (
+        d1_j * d1_j
+        + math.sqrt(m[j + 1] / m[j]) * d1_j * d2_j
+        + math.sqrt(m[j - 2] / m[j - 1]) * d2_jm1 * d1_j
+        + math.sqrt(m[j - 2] * m[j + 1] / (m[j] * m[j - 1])) * d2_j * d2_jm1
+    )
+    den = abs(d0) - (k[j - 1] + chain._kp(j - 1)) / m[j - 1]
+    if den == 0.0:
+        raise DivisionByZero("reference denominator vanishes at j=%d" % j)
+    return abs(lhs - num / den)
+
+
+def test_stiffness_identity_matches_matrix_entries():
+    # the check computes its entries from the chain directly; they must
+    # be bit for bit the entries of the assembled matrix
+    rng = np.random.default_rng(23)
+    chains = [bs.SpringChain((1.0,) * 4, (1.0, 1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0))]
+    for N in (4, 5, 8, 13):
+        for cut in (None, int(rng.integers(3, N + 1)), 1):
+            chains.append(bs.sampling.random_chain(rng, N, zero_kp_from=cut))
+    checked = raised = 0
+    for chain in chains:
+        for j in range(2, chain.N - 1):
+            try:
+                want = _residual_from_matrix(chain, j)
+            except DivisionByZero:
+                with pytest.raises(DivisionByZero):
+                    bs.continued_fraction_check(chain, j)
+                raised += 1
+                continue
+            assert bs.continued_fraction_check(chain, j) == want
+            checked += 1
+    assert raised >= 1 and checked >= 30
