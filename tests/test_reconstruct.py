@@ -355,7 +355,7 @@ def test_gate_weighs_the_initial_values():
         bs.reconstruct(sig)
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_inverse_contract(data):
     """Every return is right and every refusal is numerical.
