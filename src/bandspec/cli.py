@@ -6,8 +6,10 @@ validation failure (input outside the admissible class, or over the
 size caps), 3 a numerical decision could not be made safely.
 
 Sizes are capped at N <= 64 and n <= 8 here (the library itself has no
-caps): the monomial-basis polynomial computations degrade predictably
-beyond desk scale, and refusing loudly beats returning mush.
+caps), the range over which the inverse is tested and measured.  Inside
+it, band Lanczos returns a matrix only when its conditioning gate puts
+the answer within the accuracy bound; near the caps many inputs are
+refused (exit 3), half bandwidth 1 from N = 32 on.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .spectral import (
     jump_sum,
     transform_spectral_function,
 )
-from .reconstruct import reconstruct
+from .reconstruct import GATE_BOUND, reconstruct
 from .springchain import build_spring_matrix, continued_fraction_check, frequencies
 
 MAX_BANDWIDTH = 8
@@ -103,6 +105,8 @@ def cmd_inverse(args):
     print("height sum: %d (expected %d)"
           % (sum(gs.generator_heights), N * n + n * (n - 1) // 2))
     print("candidates consumed: %d" % gs.iterations)
+    print("condition estimate: %.3g (cond * eps = %.3g, bound %g)"
+          % (gs.cond, gs.cond * sys.float_info.epsilon, GATE_BOUND))
 
 
 def cmd_spring(args):

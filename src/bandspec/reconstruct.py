@@ -29,15 +29,16 @@ only the first n members are built as polynomials, for the initial
 values.  The basis and generators, in x, come from solve_recurrence.
 
 A run that decides every norm may still amplify rounding past the
-accuracy bound, so reconstruct gates its answer.  It replays the run
-GATE_REPLAYS times, with every decision pinned to the base run's
-heights, on seeded perturbations of the input: the nodes by a relative
-GATE_STEP, the coefficient vectors by an absolute GATE_STEP (eigh gives
-eigenvector entries an absolute error).  The largest change of the
-dense matrix or of the initial values, divided by GATE_STEP, estimates
-the condition number (small-sample statistical condition estimation,
-Kenney & Laub, SIAM J. Sci. Comput. 15, 1994).  An estimate times the
-machine epsilon above GATE_BOUND raises IllConditioned.
+accuracy bound, so reconstruct gates its answer.  gram_schmidt runs
+GATE_REPLAYS seeded perturbations of the input in the same loop, with
+every decision taken on the input and pinned for the copies: the nodes
+by a relative GATE_STEP, the coefficient vectors by an absolute
+GATE_STEP (eigh gives eigenvector entries an absolute error).  The
+largest change of the dense matrix or of the initial values, divided
+by GATE_STEP, estimates the condition number (small-sample statistical
+condition estimation, Kenney & Laub, SIAM J. Sci. Comput. 15, 1994).
+An estimate times the machine epsilon above GATE_BOUND raises
+IllConditioned.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class Orthogonalization:
     of first_block holds the constants of the member at height h < n
     (zeros if that height fell into the zero class).  iterations counts
     the heights consumed, including those skipped in dead residue
-    classes.
+    classes.  cond is the gate's condition estimate of the run (NaN if
+    a perturbed copy broke down).
     """
 
     basis_heights: tuple
@@ -96,6 +98,7 @@ class Orthogonalization:
     node_center: float
     values: np.ndarray
     first_block: np.ndarray
+    cond: float
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,8 @@ def _project(Q, v):
 
 
 def gram_schmidt(sigma, tol_zero=1e-8):
-    """Orthonormalize the candidates of band Lanczos against sigma.
+    """Orthonormalize the candidates of band Lanczos against sigma, and
+    estimate the condition of the run.
 
     Walks the heights 0, 1, 2, ...: the candidate at height h < n is
     the constant e_{h+1}, above that it is y times the basis member at
@@ -156,6 +160,12 @@ def gram_schmidt(sigma, tol_zero=1e-8):
     (normalized), below tau / 10 it is a generator of the zero class
     and its residue mod n dies, and anything in between stops the
     computation rather than guess.
+
+    The gate's perturbed copies (see the module docstring) are slots
+    stacked behind the input's, which alone decides for all of them.
+    cond is the largest entry change of the dense matrix (out-of-band
+    entries included) or of first_block over the copies, divided by
+    GATE_STEP; NaN if a copy broke down.
 
     Parameters
     ----------
@@ -185,57 +195,71 @@ def gram_schmidt(sigma, tol_zero=1e-8):
         raise DimensionMismatch(
             "need more jumps than components, got N=%d n=%d" % (N, n)
         )
-    xmin, xmax = float(sigma.x.min()), float(sigma.x.max())
-    center = 0.5 * (xmin + xmax)
-    scale = 0.5 * (xmax - xmin)
-    if scale == 0.0:
+    g, G = _perturbations(N, n)
+    # slot 0 is the input, slot k > 0 its k-th perturbed copy
+    x = np.vstack((sigma.x, sigma.x * (1.0 + GATE_STEP * g)))
+    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
+    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if scale[0, 0] == 0.0:
         # a single node carries rank at most n < N, so validated input
         # cannot land here
         raise DimensionMismatch("all nodes coincide")
-    y = ((sigma.x - center) / scale)[None, :]
+    y = ((x - center) / scale)[:, None, :]
+    alpha = np.concatenate((sigma.alpha[None], sigma.alpha + GATE_STEP * G))
+    consts_of = np.moveaxis(alpha, 2, 0)[:, :, None, :]  # values of e_{h+1}
 
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
-    consts_of = sigma.alpha.T[:, None, :]  # row h: values of e_{h+1}
-    Q = np.zeros((N, N))
+    Q = np.zeros((GATE_REPLAYS + 1, N, N))
+    F = np.zeros((GATE_REPLAYS + 1, n, n))
     row = {}  # accepted height -> its row of Q
     gheights, block = [], []
     h = -1
-    while len(gheights) < n:
-        h += 1
-        if h >= cap:
-            raise IterationCapExceeded(
-                "consumed %d heights (cap %d) with %d basis members and "
-                "%d generators; the input is not the spectral function of "
-                "any admissible band matrix, or tol_zero=%g is ill-chosen"
-                % (h + 1, cap, len(row), len(gheights), tol_zero)
-            )
-        if h >= n and h - n not in row:
-            continue  # the residue class of h is dead
-        v = consts_of[h] if h < n else y * Q[row[h - n], None]
-        tau = tol_zero * math.sqrt(float(np.vdot(v, v)) + 1.0)
-        r = len(row)
-        v, c = _project(Q[:r], v)
-        nrm = math.sqrt(float(np.vdot(v, v)))
-        if nrm > 10.0 * tau:
-            if r == N:
+    # a copy that breaks down shows as NaN in cond; the input's slot
+    # never divides by a norm below 10 tau
+    with np.errstate(all="ignore"):
+        while len(gheights) < n:
+            h += 1
+            if h >= cap:
                 raise IterationCapExceeded(
-                    "candidate at height %d has norm %g after projection on "
-                    "a full basis; the input is not an admissible spectral "
-                    "function" % (h, nrm)
+                    "consumed %d heights (cap %d) with %d basis members and "
+                    "%d generators; the input is not the spectral function of "
+                    "any admissible band matrix, or tol_zero=%g is ill-chosen"
+                    % (h + 1, cap, len(row), len(gheights), tol_zero)
                 )
-            Q[r] = v[0] / nrm
-            row[h] = r
-            if h < n:
-                block.append((h, c[0], nrm))
-        elif nrm < 0.1 * tau:
-            gheights.append(h)
-        else:
-            raise AmbiguousNorm(
-                "candidate at height %d has residual norm %r within a "
-                "factor 10 of the zero threshold %r; tighten or loosen "
-                "tol_zero to decide" % (h, nrm, tau)
-            )
+            if h >= n and h - n not in row:
+                continue  # the residue class of h is dead
+            v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
+            tau = tol_zero * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
+            r = len(row)
+            v, c = _project(Q[:, :r], v)
+            nrm = math.sqrt(float(np.vdot(v[0], v[0])))
+            if nrm > 10.0 * tau:
+                if r == N:
+                    raise IterationCapExceeded(
+                        "candidate at height %d has norm %g after projection "
+                        "on a full basis; the input is not an admissible "
+                        "spectral function" % (h, nrm)
+                    )
+                nrms = np.sqrt(v @ v.swapaxes(1, 2))
+                nrms[0] = nrm
+                Q[:, r] = (v / nrms)[:, 0]
+                if h < n:
+                    block.append((h, c[0, 0], nrm))
+                    # column h of the initial values: every member so
+                    # far is a constant at a lower height
+                    col = -(F[:, :, list(row)] @ c.swapaxes(1, 2))[:, :, 0]
+                    col[:, h] += 1.0
+                    F[:, :, h] = col / nrms[:, 0]
+                row[h] = r
+            elif nrm < 0.1 * tau:
+                gheights.append(h)
+            else:
+                raise AmbiguousNorm(
+                    "candidate at height %d has residual norm %r within a "
+                    "factor 10 of the zero threshold %r; tighten or loosen "
+                    "tol_zero to decide" % (h, nrm, tau)
+                )
     if len(row) != N:
         raise IterationCapExceeded(
             "every residue class died with %d of %d basis members; the "
@@ -255,15 +279,22 @@ def gram_schmidt(sigma, tol_zero=1e-8):
                               + [(-ck, p) for ck, p in zip(c, first)])
         first.append(linear_combine([(1.0 / nrm, cand)]))
         consts[:b + 1, b] = first[-1].coef
-    Q.flags.writeable = consts.flags.writeable = False
+    with np.errstate(all="ignore"):
+        A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
+        A += center[:, :, None] * np.eye(N)
+        change = np.max((np.max(np.abs(A[1:] - A[0])),
+                         np.max(np.abs(F[1:] - consts))))
+    values = Q[0].copy()
+    values.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
         basis_heights=tuple(row),
         generator_heights=tuple(gheights),
         iterations=h + 1,
-        node_scale=scale,
-        node_center=center,
-        values=Q,
+        node_scale=float(scale[0, 0]),
+        node_center=float(center[0, 0]),
+        values=values,
         first_block=consts,
+        cond=float(change) / GATE_STEP,
     )
 
 
@@ -280,60 +311,18 @@ def _perturbations(N, n):
     return g, G
 
 
-def _replay(sigma, heights):
-    """The run on every perturbed input at once, with each decision
-    pinned to the accepted heights.  Returns the dense matrices, mapped
-    back to x, and the initial-value blocks, stacked over the replays."""
-    n, N = sigma.n, sigma.N
-    g, G = _perturbations(N, n)
-    x = sigma.x * (1.0 + GATE_STEP * g)
-    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
-    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    y = ((x - center) / scale)[:, None, :]
-    consts_of = np.moveaxis(sigma.alpha + GATE_STEP * G, 2, 0)[:, :, None, :]
-    Q = np.zeros((GATE_REPLAYS, N, N))
-    F = np.zeros((GATE_REPLAYS, n, n))
-    row = {}
-    for r, h in enumerate(heights):
-        v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
-        v, c = _project(Q[:, :r], v)
-        nrm = np.sqrt(v @ v.swapaxes(1, 2))
-        Q[:, r] = (v / nrm)[:, 0]
-        if h < n:
-            # column h of the initial values, as gram_schmidt builds it:
-            # every member so far is a constant at a lower height
-            col = -(F[:, :, list(row)] @ c.swapaxes(1, 2))[:, :, 0]
-            col[:, h] += 1.0
-            F[:, :, h] = col / nrm[:, 0]
-        row[h] = r
-    A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
-    A += center[:, :, None] * np.eye(N)
-    return A, F
-
-
 def _gate(sigma, gs):
     """Refuse a run whose answer the input data do not determine to the
-    accuracy bound.
-
-    Replays the run of gs on GATE_REPLAYS seeded perturbations of sigma
-    (see the module docstring) and takes cond as the largest entry
-    change of the dense matrix (out-of-band entries included) or of
-    first_block over all replays, divided by GATE_STEP.
+    accuracy bound: gs.cond, the condition estimate of the run on sigma
+    (see gram_schmidt), times the machine epsilon must not exceed
+    GATE_BOUND.
 
     Raises
     ------
     IllConditioned
-        cond * eps exceeds GATE_BOUND, or a replay broke down.
+        cond * eps exceeds GATE_BOUND, or a perturbed copy broke down.
     """
-    y = (sigma.x - gs.node_center) / gs.node_scale
-    V = gs.values
-    A0 = gs.node_scale * ((V * y) @ V.T) + gs.node_center * np.eye(len(y))
-    with np.errstate(all="ignore"):
-        A, F = _replay(sigma, gs.basis_heights)
-        change = np.max((np.max(np.abs(A - A0)),
-                         np.max(np.abs(F - gs.first_block))))
-    cond = float(change) / GATE_STEP
-    eps = float(np.finfo(float).eps)
+    cond, eps = gs.cond, float(np.finfo(float).eps)
     if not cond * eps <= GATE_BOUND:
         raise IllConditioned(
             "condition estimate %.3g: cond * eps = %.3g exceeds the bound "

@@ -235,6 +235,9 @@ def merged_jump_matrices(sigma):
 def validate_sigma(sigma):
     """Check the admissibility of a spectral function.
 
+    A pass is recorded on sigma (its arrays are read-only), and later
+    calls on it return at once; a failure records nothing.
+
     Raises
     ------
     ZeroJump
@@ -246,6 +249,8 @@ def validate_sigma(sigma):
         the number of jumps (rank decided by eigenvalues above
         RANK_TOL * largest).
     """
+    if sigma.__dict__.get("_admissible"):
+        return
     zero = np.flatnonzero(np.all(sigma.alpha == 0.0, axis=1))
     if len(zero):
         raise ZeroJump("jump at x=%r has a zero coefficient vector"
@@ -263,6 +268,7 @@ def validate_sigma(sigma):
         raise RankSumMismatch(
             "merged jump ranks sum to %d, expected %d" % (total, sigma.N)
         )
+    sigma.__dict__["_admissible"] = True
 
 
 def jump_sum(sigma):

@@ -153,6 +153,20 @@ def test_inverse_roundtrip_via_files(tmp_path, capsys):
     assert np.max(np.abs(T.dense() - np.eye(2))) < 1e-8
 
 
+def test_inverse_prints_condition_estimate(tmp_path, capsys):
+    A = bs.sampling.random_band_matrix(np.random.default_rng(3), 2, 7, j0=1)
+    sig = bs.canonical_spectral_function(A)
+    path = write(tmp_path, "sigma.json", fileio.dump_sigma(sig))
+    assert main(["inverse", path, "-o", str(tmp_path / "back.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = bs.reconstruct(sig).diagnostics.cond
+    assert lines[-2].startswith("candidates consumed:")
+    assert lines[-1] == (
+        "condition estimate: %.3g (cond * eps = %.3g, bound 1e-08)"
+        % (want, want * np.finfo(float).eps))
+    assert want * np.finfo(float).eps <= 1e-8
+
+
 def test_inverse_rejects_dead_component(tmp_path, capsys):
     sig = bs.SpectralFunction(
         2, [(-1.0, (0.6, 0.0)), (0.5, (0.7, 0.0)), (2.0, (0.2, 0.0))]

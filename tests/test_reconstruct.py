@@ -18,6 +18,7 @@ from bandspec.errors import (
     NumericalDecisionError,
     ProfileMismatch,
 )
+from bandspec.reconstruct import GATE_BOUND
 
 
 def flip_sigma():
@@ -385,6 +386,35 @@ def test_inverse_contract(data):
     want_T = T.dense() if T is not None else np.eye(n)
     assert np.max(np.abs(rec.tinit.dense() - want_T)) <= 1e-8
     assert rec.profile == bs.validate_band(A)
+    assert rec.diagnostics.cond * np.finfo(float).eps <= GATE_BOUND
+
+
+def test_gate_copies_run_independently(monkeypatch):
+    # with zero perturbation directions every copy is the input again:
+    # the input's run must not change, and the copies must reproduce it
+    # up to the rounding gap between linear_combine and the numpy first
+    # block; a copy that misses its own stores or builds its first block
+    # wrong changes cond by O(1)
+    module = sys.modules["bandspec.reconstruct"]
+    runs = []
+    for n, N, j0, with_t in ((1, 12, 0, 0), (2, 9, 1, 1), (3, 20, 2, 1),
+                             (4, 32, 0, 0), (8, 40, 3, 1)):
+        rng = np.random.default_rng((n, N, j0))
+        sig = bs.canonical_spectral_function(
+            bs.sampling.random_band_matrix(rng, n, N, j0=j0))
+        if with_t:
+            sig = bs.transform_spectral_function(sig, bs.sampling.random_tinit(rng, n))
+        runs.append((sig, bs.gram_schmidt(sig)))
+    monkeypatch.setattr(module, "_perturbations", lambda N, n: (
+        np.zeros((module.GATE_REPLAYS, N)), np.zeros((module.GATE_REPLAYS, N, n))))
+    for sig, want in runs:
+        got = bs.gram_schmidt(sig)
+        assert got.basis_heights == want.basis_heights
+        assert got.generator_heights == want.generator_heights
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.first_block, want.first_block)
+        assert got.cond * module.GATE_STEP <= 1e-14
 
 
 def test_rescaled_sigma_matches_stored_values():

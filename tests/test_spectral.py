@@ -1,6 +1,7 @@
 """Eigendecomposition, spectral functions, and the degenerate inner product."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,32 @@ def test_validate_sigma_rejects_rank_mismatch():
     sig = bs.SpectralFunction(2, [(1.0, (0.6, 0.3)), (1.0, (1.2, 0.6))])
     with pytest.raises(RankSumMismatch):
         bs.validate_sigma(sig)
+
+
+def test_validate_sigma_checks_an_instance_once(monkeypatch):
+    # a round trip validates its sigma in canonical_spectral_function
+    # and again in reconstruct; the second call must not redo the work
+    spectral = sys.modules["bandspec.spectral"]
+    calls = []
+    merged = spectral.merged_jump_matrices
+    monkeypatch.setattr(spectral, "merged_jump_matrices",
+                        lambda sigma: calls.append(sigma) or merged(sigma))
+    rng = np.random.default_rng(12)
+    A = bs.sampling.random_band_matrix(rng, 2, 7, j0=1)
+    bs.reconstruct(bs.canonical_spectral_function(A))
+    assert len(calls) == 1
+    calls.clear()
+    sig = bs.transform_spectral_function(
+        bs.canonical_spectral_function(A), bs.sampling.random_tinit(rng, 2))
+    bs.reconstruct(sig)
+    assert len(calls) == 2
+    # a failed check is not recorded
+    calls.clear()
+    bad = bs.SpectralFunction(2, [(1.0, (0.6, 0.3)), (1.0, (1.2, 0.6))])
+    for _ in range(2):
+        with pytest.raises(RankSumMismatch):
+            bs.validate_sigma(bad)
+    assert len(calls) == 2
 
 
 def test_merged_jumps_node_tolerance():
