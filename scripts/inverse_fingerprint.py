@@ -1,4 +1,5 @@
-"""Fingerprint of every inverse-problem output on a fixed-seed grid.
+"""Fingerprint of every inverse-problem output on a fixed-seed grid, and
+of the direct side's grouping and verdicts on hand-built cases.
 
 Write mode runs the direct problem, the initial-value transform and
 `reconstruct` on a grid of random admissible instances and writes one
@@ -16,6 +17,12 @@ Grid, drawn from seed 0: n in 1..8, N in {8, 16, 32, 48, 64} (N > n),
 every feasible number j0 of genuine cuts, each instance with identity
 and with random initial values; tol_zero 1e-8, plus 1e-10 and 1e-12
 when N <= 32 or n in {1, 2, 8}.  That is 796 cases.
+
+After the grid come 29 direct-side cases: hand-built spectral
+functions with exact ties, near-tie chains, underflowing and
+overflowing weights, a zero jump, a dead component and a rank deficit.
+For each one the file holds the groups of `merged_jump_matrices` (node
+and matrix in hex) and the `validate_sigma` verdict and message.
 
     python3 scripts/inverse_fingerprint.py parent.jsonl
     python3 scripts/inverse_fingerprint.py change.jsonl
@@ -79,10 +86,62 @@ def fingerprint(key, tol):
     return row
 
 
+def chain(x, factors):
+    """x, then each node the given number of merge windows above the
+    last."""
+    nodes = [x]
+    for f in factors:
+        nodes.append(nodes[-1] + f * bs.spectral.NODE_MERGE_TOL * (1.0 + abs(nodes[-1])))
+    return nodes
+
+
+def direct_cases():
+    r = 1.0 / np.sqrt(2.0)
+    rot = [(0.6, 0.8), (0.8, -0.6), (1.0, 0.0), (0.0, 1.0), (r, r)]
+    gap = 1e-10 + 5e-21
+    canonical = bs.canonical_spectral_function(
+        bs.sampling.random_band_matrix(np.random.default_rng((SEED, 3)), 3, 12, j0=1))
+    yield "canonical n=3 N=12", canonical.jumps
+    yield "exact tie", [(1.0, rot[0]), (1.0, rot[1]), (2.0, rot[2])]
+    yield "exact tie, three at one node", [(0.0, rot[2]), (0.0, rot[3]), (0.0, rot[4])]
+    yield "gap of one window from 0", [(0.0, rot[0]), (1e-10, rot[1]), (1.0, rot[4])]
+    yield "gap measured from the lower node", [(-gap, rot[0]), (0.0, rot[1]), (1.0, rot[4])]
+    for factors in ((0.5, 0.5, 0.5), (0.5, 1.0, 1.5), (1.5, 1.0, 0.5), (1.0, 1.0)):
+        for x in (0.0, -1.0, 3.0):
+            nodes = chain(x, factors)
+            yield ("near-tie chain from %r by %r" % (x, factors),
+                   [(v, rot[k % len(rot)]) for k, v in enumerate(nodes)])
+    for w in (1e-150, 1e-160, 1e-170):
+        yield "entry %g" % w, [(0.0, (w, 0.0)), (1.0, rot[0]), (2.0, rot[1])]
+        yield "entries %g" % w, [(0.0, (w, w)), (1.0, rot[0]), (2.0, rot[1])]
+    yield "entries 1e+154, weight overflows", [(0.0, (1e154, 1e154)), (1.0, rot[0]), (2.0, rot[1])]
+    yield "entry 1e+160, matrix overflows", [(0.0, (1e160, 0.0)), (1.0, rot[0]), (2.0, rot[1])]
+    yield "subnormal entry", [(0.0, (5e-324, 1.0)), (1.0, rot[0]), (2.0, rot[2])]
+    yield "zero jump", [(0.0, (0.0, 0.0)), (1.0, rot[0]), (2.0, rot[1])]
+    yield "dead component", [(0.0, (0.6, 0.0)), (1.0, (0.8, 0.0)), (2.0, (1.0, 0.0))]
+    yield "rank deficit", [(1.0, (0.6, 0.3)), (1.0, (1.2, 0.6)), (2.0, rot[1])]
+
+
+def direct_fingerprint(name, jumps):
+    sigma = bs.SpectralFunction(len(jumps[0][1]), jumps)
+    row = {"case": "direct: " + name,
+           "groups": [[float(x).hex(), hexes(M)]
+                      for x, M in bs.merged_jump_matrices(sigma)]}
+    try:
+        bs.validate_sigma(sigma)
+        row["verdict"] = "admissible"
+    except bs.errors.ValidationError as exc:
+        row["verdict"] = type(exc).__name__
+        row["message"] = str(exc)
+    return row
+
+
 def write(path):
     with open(path, "w", encoding="utf-8") as fh:
         for key, tol in cases():
             fh.write(json.dumps(fingerprint(key, tol), sort_keys=True) + "\n")
+        for name, jumps in direct_cases():
+            fh.write(json.dumps(direct_fingerprint(name, jumps), sort_keys=True) + "\n")
 
 
 def matrix_gap(a, b):

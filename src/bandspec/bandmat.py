@@ -254,11 +254,14 @@ def validate_band(A):
 
 def to_dense(A):
     """Unpack to a dense symmetric numpy array."""
-    M = np.zeros((A.N, A.N))
+    N = A.N
+    M = np.zeros((N, N))
+    flat = M.reshape(-1)
+    # diagonal j runs through flat positions j*N + i*(N+1) below the main
+    # diagonal and j + i*(N+1) above it, i < N - j
     for j, d in enumerate(A.diags):
-        for i, v in enumerate(d):
-            M[i + j, i] = v
-            M[i, i + j] = v
+        flat[j * N::N + 1] = d
+        flat[j:(N - j) * N:N + 1] = d
     return M
 
 

@@ -221,15 +221,22 @@ def merged_jump_matrices(sigma):
     Consecutive nodes closer than NODE_MERGE_TOL * (1 + |x|) to the
     first node x of their group fall into it.  Returns a list of
     (representative node, n x n jump matrix) in ascending node order.
+
+    All consecutive gaps are tested at once first; only when some node
+    lies that close to its predecessor does a loop over the jumps
+    build the groups.  Otherwise every jump is its own group.
     """
-    alpha = sigma.alpha
+    x, alpha = sigma.x, sigma.alpha
+    M = alpha[:, :, None] * alpha[:, None, :]
+    if not np.any(x[1:] - x[:-1] <= NODE_MERGE_TOL * (1.0 + np.abs(x[:-1]))):
+        return list(zip(x.tolist(), M))
     groups = []
-    for x, M in zip(sigma.x.tolist(), alpha[:, :, None] * alpha[:, None, :]):
-        if groups and x - groups[-1][0] <= NODE_MERGE_TOL * (1.0 + abs(groups[-1][0])):
-            groups[-1][1] += M
+    for xk, Mk in zip(x.tolist(), M):
+        if groups and xk - groups[-1][0] <= NODE_MERGE_TOL * (1.0 + abs(groups[-1][0])):
+            groups[-1][1] += Mk
         else:
-            groups.append([x, M])
-    return [(x, M) for x, M in groups]
+            groups.append([xk, Mk])
+    return [(xk, Mk) for xk, Mk in groups]
 
 
 def validate_sigma(sigma):
@@ -248,6 +255,12 @@ def validate_sigma(sigma):
         The ranks of the merged per-node jump matrices do not sum to
         the number of jumps (rank decided by eigenvalues above
         RANK_TOL * largest).
+
+    A jump alone at its node is the rank-one matrix alpha alpha^t, so
+    the eigenvalues are computed only when some node merged with
+    another or some weight |alpha|^2 is below the smallest normal
+    float or not finite (its matrix may have lost its rank to
+    underflow); otherwise the ranks sum to N.
     """
     if sigma.__dict__.get("_admissible"):
         return
@@ -260,10 +273,15 @@ def validate_sigma(sigma):
         raise DeadComponent(
             "component %d has zero coefficient at every node" % (dead[0] + 1)
         )
-    evals = np.linalg.eigvalsh(
-        np.array([M for _, M in merged_jump_matrices(sigma)]))
-    top = evals[:, -1:]
-    total = int(np.count_nonzero((evals > RANK_TOL * top) & (top > 0.0)))
+    groups = merged_jump_matrices(sigma)
+    with np.errstate(over="ignore"):  # an overflowed weight goes to eigvalsh
+        weights = np.sum(sigma.alpha * sigma.alpha, axis=1)
+    total = sigma.N
+    if len(groups) < sigma.N or not np.all(
+            (weights >= np.finfo(float).tiny) & np.isfinite(weights)):
+        evals = np.linalg.eigvalsh(np.array([M for _, M in groups]))
+        top = evals[:, -1:]
+        total = int(np.count_nonzero((evals > RANK_TOL * top) & (top > 0.0)))
     if total != sigma.N:
         raise RankSumMismatch(
             "merged jump ranks sum to %d, expected %d" % (total, sigma.N)

@@ -13,7 +13,13 @@ degree, trailing zeros trimmed, a zero component empty).  They use the
 same floating-point operations in the same order as the package, so the
 two must agree bit for bit.  The ref_* functions on spectral functions
 do the same for the direct problem, one jump at a time on (x, alpha)
-records.
+records, and ref_to_dense unpacks a band matrix entry by entry.
+
+ref_replay runs one of the conditioning gate's perturbed copies on its
+own, with every decision pinned to the input's heights, and
+ref_gate_cond takes the gate's condition estimate over those lone
+runs; gram_schmidt runs all copies in one stacked loop and must agree
+bit for bit.
 
 is_interpolation_solution tests zero-class membership of a vector
 polynomial directly at the jumps of a spectral function.
@@ -30,6 +36,7 @@ from bandspec.errors import (
     RankSumMismatch,
     ZeroJump,
 )
+from bandspec.reconstruct import GATE_REPLAYS, GATE_STEP, _perturbations, _project
 from bandspec.spectral import NODE_MERGE_TOL, RANK_TOL
 
 
@@ -186,6 +193,62 @@ def ref_validate_sigma(n, jumps):
         if top > 0.0:
             total += int(np.count_nonzero(evals > RANK_TOL * top))
     return None if total == len(jumps) else RankSumMismatch
+
+
+def ref_to_dense(A):
+    """Dense symmetric array of a band matrix, written entry by entry."""
+    M = np.zeros((A.N, A.N))
+    for j, d in enumerate(A.diags):
+        for i, v in enumerate(d):
+            M[i + j, i] = v
+            M[i, i + j] = v
+    return M
+
+
+def ref_replay(sigma, heights, k):
+    """The gate's perturbed copy k of sigma run alone, as a stack of
+    one, with each decision pinned to the accepted heights.  Returns
+    its dense matrix, mapped back to x, and its initial-value block."""
+    n, N = sigma.n, sigma.N
+    g, G = _perturbations(N, n)
+    x = sigma.x * (1.0 + GATE_STEP * g[k:k + 1])
+    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
+    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    y = ((x - center) / scale)[:, None, :]
+    consts_of = np.moveaxis(sigma.alpha + GATE_STEP * G[k:k + 1], 2, 0)[:, :, None, :]
+    Q = np.zeros((1, N, N))
+    F = np.zeros((1, n, n))
+    row = {}
+    for r, h in enumerate(heights):
+        v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
+        v, c = _project(Q[:, :r], v)
+        nrm = np.sqrt(v @ v.swapaxes(1, 2))
+        Q[:, r] = (v / nrm)[:, 0]
+        if h < n:
+            # every member so far is a constant at a lower height
+            col = -(F[:, :, list(row)] @ c.swapaxes(1, 2))[:, :, 0]
+            col[:, h] += 1.0
+            F[:, :, h] = col / nrm[:, 0]
+        row[h] = r
+    A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
+    A += center[:, :, None] * np.eye(N)
+    return A[0], F[0]
+
+
+def ref_gate_cond(sigma, gs):
+    """The gate's condition estimate of the run gs on sigma, each copy
+    replayed alone: the largest entry change of the dense matrix or of
+    the initial values over the copies, divided by GATE_STEP, against
+    the matrix built from gs.values and gs.first_block."""
+    y = (sigma.x - gs.node_center) / gs.node_scale
+    V = gs.values
+    A0 = gs.node_scale * ((V * y) @ V.T) + gs.node_center * np.eye(len(y))
+    changes = []
+    with np.errstate(all="ignore"):
+        for k in range(GATE_REPLAYS):
+            A, F = ref_replay(sigma, gs.basis_heights, k)
+            changes += [np.max(np.abs(A - A0)), np.max(np.abs(F - gs.first_block))]
+    return float(np.max(changes)) / GATE_STEP
 
 
 def degree(coeffs):

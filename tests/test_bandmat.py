@@ -13,6 +13,8 @@ from bandspec.errors import (
     NotTriangular,
 )
 
+import helpers
+
 
 def seven_by_seven():
     """n=3, N=7 with cuts at 3 and 5 and none on the innermost level."""
@@ -119,6 +121,26 @@ def test_to_dense_examples():
     assert M[5, 2] == 0.0 and M[6, 3] == 0.0  # outermost, positions 3, 4
     assert M[6, 4] == 0.0  # middle diagonal, position 5
     assert M[0, 3] == 1.0 and M[1, 4] == 1.3
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_to_dense_matches_per_entry_reference(data):
+    """to_dense gives bit for bit the array written entry by entry,
+    signed zeros included."""
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=128))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    special = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, -1e300]), min_size=1, max_size=4)))
+    diags = []
+    for j in range(n + 1):
+        d = rng.standard_normal(N - j)
+        hit = rng.random(N - j) < 0.3
+        d[hit] = rng.choice(special, size=int(hit.sum()))
+        diags.append(tuple(d.tolist()))
+    A = bs.BandMatrix(n, N, tuple(diags))
+    assert helpers.bits(bs.to_dense(A)) == helpers.bits(helpers.ref_to_dense(A))
 
 
 def test_shrink_band_drops_zero_outer_diagonals():

@@ -19,6 +19,9 @@ from bandspec.errors import (
     ProfileMismatch,
 )
 from bandspec.reconstruct import GATE_BOUND
+from bandspec.spectral import RANK_TOL
+
+import helpers
 
 
 def flip_sigma():
@@ -356,6 +359,21 @@ def test_gate_weighs_the_initial_values():
         bs.reconstruct(sig)
 
 
+def test_returns_input_with_nearly_singular_jump_sum():
+    # a milder shear than above: the jump sum T^t T has an eigenvalue
+    # ratio of 1e-12, below RANK_TOL, yet the input is admissible and
+    # comes back right, so a singular-sum check must not refuse it
+    A = bs.sampling.random_band_matrix(np.random.default_rng(7), 2, 10)
+    T = bs.TriangularInit(2, ((1.0, 1e3), (0.0, 1.0)))
+    sig = bs.transform_spectral_function(bs.canonical_spectral_function(A), T)
+    evals = np.linalg.eigvalsh(bs.jump_sum(sig))
+    assert evals[0] <= RANK_TOL * evals[-1]
+    rec = bs.reconstruct(sig)
+    assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
+    assert np.max(np.abs(rec.tinit.dense() - T.dense())) < 1e-8
+    assert rec.profile == bs.validate_band(A)
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_inverse_contract(data):
@@ -415,6 +433,27 @@ def test_gate_copies_run_independently(monkeypatch):
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.first_block, want.first_block)
         assert got.cond * module.GATE_STEP <= 1e-14
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_gate_cond_matches_copies_run_alone(data):
+    """cond equals, bit for bit, the estimate from each perturbed copy
+    replayed on its own with the input's decisions, so no copy reads
+    the input's nodes, coefficients or first block."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
+    try:
+        sig = bs.canonical_spectral_function(A)
+        if data.draw(st.booleans()):
+            sig = bs.transform_spectral_function(sig, bs.sampling.random_tinit(rng, n))
+        gs = bs.gram_schmidt(sig)
+    except NumericalDecisionError:
+        return
+    assert gs.cond.hex() == helpers.ref_gate_cond(sig, gs).hex()
 
 
 def test_rescaled_sigma_matches_stored_values():

@@ -18,6 +18,7 @@ from bandspec.errors import (
     WeightUnderflow,
     ZeroJump,
 )
+from bandspec.spectral import NODE_MERGE_TOL
 
 import helpers
 
@@ -192,6 +193,16 @@ def test_validate_sigma_rejects_rank_mismatch():
         bs.validate_sigma(sig)
 
 
+@pytest.mark.parametrize("alpha", [(1e-170, 0.0), (1e154, 1e154)])
+def test_validate_sigma_decides_rank_of_extreme_jump(alpha):
+    # the first jump is alone at its node, but its matrix underflows to
+    # zero or its eigenvalue overflows, so eigvalsh gives it rank 0
+    sig = bs.SpectralFunction(
+        2, [(0.0, alpha), (1.0, (0.6, 0.8)), (2.0, (0.8, -0.6))])
+    with pytest.raises(RankSumMismatch, match="sum to 2, expected 3"):
+        bs.validate_sigma(sig)
+
+
 def test_validate_sigma_checks_an_instance_once(monkeypatch):
     # a round trip validates its sigma in canonical_spectral_function
     # and again in reconstruct; the second call must not redo the work
@@ -226,6 +237,15 @@ def test_merged_jumps_node_tolerance():
 
     sig = bs.SpectralFunction(1, [(x, (0.5,)), (x + 1.0, (0.5,))])
     assert len(bs.merged_jump_matrices(sig)) == 2
+
+    # a gap of exactly NODE_MERGE_TOL * (1 + |x|) still merges
+    sig = bs.SpectralFunction(1, [(0.0, (0.6,)), (1e-10, (0.8,))])
+    assert [x for x, _ in bs.merged_jump_matrices(sig)] == [0.0]
+    # the window is measured from the lower node: this gap is inside
+    # 1e-10 * (1 + |x|) at x = -gap but outside it at x = 0
+    gap = 1e-10 + 5e-21
+    sig = bs.SpectralFunction(1, [(-gap, (0.6,)), (0.0, (0.8,))])
+    assert [x for x, _ in bs.merged_jump_matrices(sig)] == [-gap]
 
 
 def test_merged_jumps_invariant_under_eigenspace_rotation():
@@ -315,6 +335,7 @@ def test_inner_is_bit_exact_symmetric(data):
 
 @settings(deadline=None, max_examples=150)
 @given(st.data())
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_array_storage_matches_per_jump_reference(data):
     """The (x, alpha) arrays hold the canonical form of the jumps, in
     any order and with any signs, and give bit for bit what the
@@ -322,16 +343,30 @@ def test_array_storage_matches_per_jump_reference(data):
     jumps, compare and hash by value, and refuse wrong coefficient
     counts."""
     n = data.draw(st.integers(min_value=1, max_value=4))
-    N = data.draw(st.integers(min_value=0, max_value=6))
+    N = data.draw(st.integers(min_value=0, max_value=8))
     num = st.one_of(
-        st.sampled_from([0.0, -0.0, 1e-14, 5e-324]),
+        st.sampled_from([0.0, -0.0, 1e-14, 5e-324, 1e-160, 1e-170]),
         st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=64),
     )
+    # rows whose jump matrix underflows in part or in whole, or whose
+    # weight overflows
+    extreme = st.sampled_from([0.0, 1e-160, -1e-160, 1e-170, -1e-170, 1e154, 1.5e154])
     # repeated and merge-close nodes exercise the grouping
     node = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1.0 + 5e-11]), num)
-    xs = [data.draw(node) for _ in range(N)]
-    jumps = tuple(bs.Jump(x, tuple(data.draw(num) for _ in range(n)))
-                  for x in xs)
+    # near-tie chains: each node 0.5, 1 or 1.5 merge windows above the
+    # last, so a node can be near its neighbour but not near the first
+    # node of its group
+    step = st.sampled_from([None, 0.5, 1.0, 1.5])
+    xs = []
+    for _ in range(N):
+        f = data.draw(step) if xs else None
+        xs.append(data.draw(node) if f is None
+                  else xs[-1] + f * NODE_MERGE_TOL * (1.0 + abs(xs[-1])))
+    jumps = []
+    for x in xs:
+        entry = data.draw(st.sampled_from((num, extreme)))
+        jumps.append(bs.Jump(x, tuple(data.draw(entry) for _ in range(n))))
+    jumps = tuple(jumps)
     sig = bs.SpectralFunction(n, jumps)
 
     assert sig.N == N and sig.x.shape == (N,) and sig.alpha.shape == (N, n)
@@ -350,7 +385,7 @@ def test_array_storage_matches_per_jump_reference(data):
     if N:
         # |alpha_1| grows, so the bumped vector is neither alpha nor -alpha
         bumped = bs.SpectralFunction(
-            n, ((jumps[0].x, (abs(jumps[0].alpha[0]) + 1.0,) + jumps[0].alpha[1:]),)
+            n, ((jumps[0].x, (2.0 * abs(jumps[0].alpha[0]) + 1.0,) + jumps[0].alpha[1:]),)
             + jumps[1:])
         assert bumped != sig
 
@@ -368,12 +403,14 @@ def test_array_storage_matches_per_jump_reference(data):
         helpers.bits(helpers.ref_jump_sum(n, canon))
     assert helpers.bits(bs.merged_jump_matrices(sig)) == \
         helpers.bits(helpers.ref_merged_jump_matrices(canon))
-    try:
-        bs.validate_sigma(sig)
-        verdict = None
-    except ValidationError as exc:
-        verdict = type(exc)
-    assert verdict is helpers.ref_validate_sigma(n, canon)
+    # a merged jump matrix that overflowed makes eigvalsh fail in both
+    def verdict(check, *args):
+        try:
+            return check(*args)
+        except (ValidationError, np.linalg.LinAlgError) as exc:
+            return type(exc)
+
+    assert verdict(bs.validate_sigma, sig) is verdict(helpers.ref_validate_sigma, n, canon)
 
     if N:
         k = data.draw(st.integers(min_value=0, max_value=N - 1))
