@@ -24,6 +24,14 @@ overflowing weights, a zero jump, a dead component and a rank deficit.
 For each one the file holds the groups of `merged_jump_matrices` (node
 and matrix in hex) and the `validate_sigma` verdict and message.
 
+Last come 28 sampler cases: for N in {3, 8, 32, 128}, one generator
+draws in turn `random_jacobi`, `random_band_matrix` (n = 2, random j0),
+`random_tinit` (n = min(N, 8)) and `random_chain` with zero_kp_from
+None, 1, N // 2 + 1 and N + 1, each written in hex, so a change to any
+value a sampler draws, or to how many draws it takes, shows.
+
+Only write mode imports `bandspec`; `--compare` runs without it.
+
     python3 scripts/inverse_fingerprint.py parent.jsonl
     python3 scripts/inverse_fingerprint.py change.jsonl
     python3 scripts/inverse_fingerprint.py --compare parent.jsonl change.jsonl
@@ -34,8 +42,6 @@ import json
 from collections import Counter
 
 import numpy as np
-
-import bandspec as bs
 
 SEED = 0
 
@@ -136,12 +142,30 @@ def direct_fingerprint(name, jumps):
     return row
 
 
+def sampler_rows():
+    for N in (3, 8, 32, 128):
+        rng = np.random.default_rng((SEED, 4, N))
+        draws = [("random_jacobi", bs.sampling.random_jacobi(rng, N).diags),
+                 ("random_band_matrix n=2", bs.sampling.random_band_matrix(rng, 2, N).diags),
+                 ("random_tinit", bs.sampling.random_tinit(rng, min(N, 8)).rows)]
+        for cut in (None, 1, N // 2 + 1, N + 1):
+            c = bs.sampling.random_chain(rng, N, zero_kp_from=cut)
+            draws.append(("random_chain zero_kp_from=%s" % cut, (c.masses, c.k, c.kp)))
+        for name, values in draws:
+            yield {"case": "sampler: %s N=%d" % (name, N),
+                   "draws": [hexes(v) for v in values]}
+
+
 def write(path):
+    global bs
+    import bandspec as bs
     with open(path, "w", encoding="utf-8") as fh:
         for key, tol in cases():
             fh.write(json.dumps(fingerprint(key, tol), sort_keys=True) + "\n")
         for name, jumps in direct_cases():
             fh.write(json.dumps(direct_fingerprint(name, jumps), sort_keys=True) + "\n")
+        for row in sampler_rows():
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def matrix_gap(a, b):

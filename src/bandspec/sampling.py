@@ -11,6 +11,8 @@ from their conditioning limits.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bandmat import BandMatrix, TriangularInit, validate_band
 from .springchain import SpringChain
 
@@ -41,6 +43,13 @@ def random_profile(rng, n, N, j0=None):
     return tuple(m)
 
 
+def _uniform(u, low, high):
+    """Standard uniforms u mapped onto [low, high) by the formula of
+    Generator.uniform, so one rng.random(count) call gives the values,
+    and leaves the generator state, of count scalar rng.uniform calls."""
+    return low + (high - low) * u
+
+
 def random_band_matrix(rng, n, N, j0=None):
     """Draw a random member of the admissible band class.
 
@@ -49,32 +58,30 @@ def random_band_matrix(rng, n, N, j0=None):
     degeneration index) are uniform over [-1, 1), and zero tails are
     exact zeros.  The result is checked against validate_band before
     being returned.
+
+    All entries come from one rng.random call after the profile's
+    draws, in the order of one draw per entry: the main diagonal, then
+    each level from the outermost in, by position, zero tails taking
+    none.
     """
     m = random_profile(rng, n, N, j0)
-
-    def positive():
-        return float(rng.uniform(0.35, 1.6))
-
-    def free():
-        return float(rng.uniform(-1.0, 1.0))
-
-    diags = [tuple(free() for _ in range(N))]  # main diagonal
-    levels = {}
+    runs = []  # (length, free entries, positive entries) per level
     prev = 0
     for j in range(n):
-        entries = []
-        for k in range(1, N - (n - j) + 1):
-            if k <= prev:
-                entries.append(free())
-            elif k < m[j]:
-                entries.append(positive())
-            else:
-                entries.append(0.0)
-        levels[n - j] = tuple(entries)
+        length = N - n + j
+        runs.append((length, prev, min(m[j] - 1, length) - prev))
         prev = m[j]
-    for g in range(1, n + 1):
-        diags.append(levels[g])
-    A = BandMatrix(n, N, tuple(diags))
+    u = rng.random(N + sum(free + pos for _, free, pos in runs))
+    main = _uniform(u[:N], -1.0, 1.0).tolist()
+    levels = []  # outermost first
+    at = N
+    for length, free, pos in runs:
+        d = np.zeros(length)
+        d[:free] = _uniform(u[at:at + free], -1.0, 1.0)
+        d[free:free + pos] = _uniform(u[at + free:at + free + pos], 0.35, 1.6)
+        at += free + pos
+        levels.append(d.tolist())
+    A = BandMatrix(n, N, (main, *levels[::-1]))
     profile = validate_band(A)
     assert profile.m == m, "generator produced profile %r, wanted %r" % (
         profile.m, m)
@@ -88,29 +95,25 @@ def random_jacobi(rng, N):
 
 def random_tinit(rng, n):
     """Random upper triangular initial-value matrix: diagonal uniform
-    over [0.5, 2), entries above it over [-1, 1)."""
-    rows = []
-    for i in range(n):
-        row = [0.0] * n
-        row[i] = float(rng.uniform(0.5, 2.0))
-        for j in range(i + 1, n):
-            row[j] = float(rng.uniform(-1.0, 1.0))
-        rows.append(tuple(row))
-    return TriangularInit(n, tuple(rows))
+    over [0.5, 2), entries above it over [-1, 1), drawn in one call
+    row by row."""
+    i, j = np.triu_indices(n)
+    u = rng.random(len(i))
+    T = np.zeros((n, n))
+    T[i, j] = np.where(i == j, _uniform(u, 0.5, 2.0), _uniform(u, -1.0, 1.0))
+    return TriangularInit(n, T.tolist())
 
 
 def random_chain(rng, N, zero_kp_from=None):
     """Random positive spring chain, masses and spring constants
-    uniform over [0.5, 2).
+    uniform over [0.5, 2), drawn in one call: masses, then k, then kp.
 
     zero_kp_from = i0 clamps kp_i to zero for all i >= i0, which is
     the standard way to manufacture a degenerate half-bandwidth-2
     matrix from a physical model.
     """
-    masses = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(N))
-    k = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(N + 1))
-    kp = [float(rng.uniform(0.5, 2.0)) for _ in range(N)]
+    u = _uniform(rng.random(3 * N + 1), 0.5, 2.0)
+    kp = u[2 * N + 1:]
     if zero_kp_from is not None:
-        for i in range(zero_kp_from, N + 1):
-            kp[i - 1] = 0.0
-    return SpringChain(masses, k, tuple(kp))
+        kp[max(zero_kp_from, 1) - 1:] = 0.0
+    return SpringChain(u[:N].tolist(), u[N:2 * N + 1].tolist(), kp.tolist())

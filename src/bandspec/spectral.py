@@ -108,11 +108,14 @@ def _own(sigma, n, x, alpha):
     """Fill a bare SpectralFunction with new read-only arrays holding the
     canonical form of the jumps (x, alpha): sorted by node, exact ties by
     alpha entry by entry, each alpha's first nonzero entry positive and,
-    by adding 0.0, no zero negative."""
+    by adding 0.0, no zero negative.  Strictly ascending nodes are
+    already in that order, and skip the sort."""
     lead = alpha[np.arange(len(x)), np.argmax(alpha != 0.0, axis=1)]
     alpha = alpha * np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    order = np.lexsort((*alpha.T[::-1], x))
-    x, alpha = x[order] + 0.0, alpha[order] + 0.0
+    if not np.all(x[1:] > x[:-1]):
+        order = np.lexsort((*alpha.T[::-1], x))
+        x, alpha = x[order], alpha[order]
+    x, alpha = x + 0.0, alpha + 0.0
     x.flags.writeable = alpha.flags.writeable = False
     sigma.__dict__.update(n=n, x=x, alpha=alpha)
     return sigma
@@ -148,12 +151,13 @@ def eig_symmetric(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("expected a square matrix, got %r" % (M.shape,))
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    skew = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if skew > SYMMETRY_TOL * scale:
-        raise NotSymmetric(
-            "matrix is not symmetric: max |M - M^t| = %r" % skew
-        )
+    if not np.array_equal(M, M.T):  # exactly symmetric needs no skew
+        scale = max(1.0, float(np.max(np.abs(M))))
+        skew = float(np.max(np.abs(M - M.T)))
+        if skew > SYMMETRY_TOL * scale:
+            raise NotSymmetric(
+                "matrix is not symmetric: max |M - M^t| = %r" % skew
+            )
     try:
         values, vectors = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
@@ -260,7 +264,10 @@ def validate_sigma(sigma):
     the eigenvalues are computed only when some node merged with
     another or some weight |alpha|^2 is below the smallest normal
     float or not finite (its matrix may have lost its rank to
-    underflow); otherwise the ranks sum to N.
+    underflow); otherwise the ranks sum to N.  When eigvalsh fails on
+    a summed matrix that overflowed, each overflowed group's matrix is
+    rebuilt from its coefficient vectors scaled by a power of two (see
+    _rescaled_group_matrix); groups with a finite matrix keep it.
     """
     if sigma.__dict__.get("_admissible"):
         return
@@ -273,13 +280,19 @@ def validate_sigma(sigma):
         raise DeadComponent(
             "component %d has zero coefficient at every node" % (dead[0] + 1)
         )
-    groups = merged_jump_matrices(sigma)
-    with np.errstate(over="ignore"):  # an overflowed weight goes to eigvalsh
+    with np.errstate(over="ignore"):  # overflows are decided below
+        groups = merged_jump_matrices(sigma)
         weights = np.sum(sigma.alpha * sigma.alpha, axis=1)
     total = sigma.N
     if len(groups) < sigma.N or not np.all(
             (weights >= np.finfo(float).tiny) & np.isfinite(weights)):
-        evals = np.linalg.eigvalsh(np.array([M for _, M in groups]))
+        mats = np.array([M for _, M in groups])
+        try:
+            evals = np.linalg.eigvalsh(mats)
+        except np.linalg.LinAlgError:
+            for g in np.flatnonzero(~np.all(np.isfinite(mats), axis=(1, 2))):
+                mats[g] = _rescaled_group_matrix(sigma, groups[g][0])
+            evals = np.linalg.eigvalsh(mats)
         top = evals[:, -1:]
         total = int(np.count_nonzero((evals > RANK_TOL * top) & (top > 0.0)))
     if total != sigma.N:
@@ -287,6 +300,17 @@ def validate_sigma(sigma):
             "merged jump ranks sum to %d, expected %d" % (total, sigma.N)
         )
     sigma.__dict__["_admissible"] = True
+
+
+def _rescaled_group_matrix(sigma, x0):
+    """Summed jump matrix of the merge group whose first node is x0,
+    from its coefficient vectors scaled by the power of two that brings
+    their largest entry into [0.5, 1).  Scaling changes no rank, so
+    this matrix has the rank that the overflowed sum stands for."""
+    x = sigma.x
+    alpha = sigma.alpha[(x >= x0) & (x - x0 <= NODE_MERGE_TOL * (1.0 + abs(x0)))]
+    alpha = np.ldexp(alpha, -np.frexp(np.max(np.abs(alpha)))[1])
+    return np.sum(alpha[:, :, None] * alpha[:, None, :], axis=0)
 
 
 def jump_sum(sigma):

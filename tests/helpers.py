@@ -21,6 +21,11 @@ ref_gate_cond takes the gate's condition estimate over those lone
 runs; gram_schmidt runs all copies in one stacked loop and must agree
 bit for bit.
 
+ref_random_band_matrix, ref_random_tinit and ref_random_chain draw
+an instance with one scalar rng.uniform call per entry; the samplers
+draw all of it with one rng.random call and must give the same values
+and leave the generator in the same state.
+
 is_interpolation_solution tests zero-class membership of a vector
 polynomial directly at the jumps of a spectral function.
 """
@@ -179,20 +184,47 @@ def ref_merged_jump_matrices(jumps):
 
 def ref_validate_sigma(n, jumps):
     """The error class validate_sigma raises on these jumps, or None:
-    one jump, one component and one eigvalsh call at a time."""
+    one jump, one component and one eigvalsh call at a time.  When
+    eigvalsh fails on some group, every group whose summed matrix
+    overflowed is summed again from its vectors scaled by 2**-e, 2**e
+    being just above their largest entry."""
     for _, alpha in jumps:
         if all(a == 0.0 for a in alpha):
             return ZeroJump
     for j in range(n):
         if all(alpha[j] == 0.0 for _, alpha in jumps):
             return DeadComponent
+    groups = []  # the vectors of each run of merged nodes
+    for x, alpha in jumps:
+        if groups and x - groups[-1][0] <= NODE_MERGE_TOL * (1.0 + abs(groups[-1][0])):
+            groups[-1][1].append(alpha)
+        else:
+            groups.append((x, [alpha]))
+    groups = [[(x, v) for v in vectors] for x, vectors in groups]
+    mats = [ref_jump_sum(n, group) for group in groups]
+    try:
+        for M in mats:
+            np.linalg.eigvalsh(M)
+    except np.linalg.LinAlgError:
+        for g, group in enumerate(groups):
+            if not np.all(np.isfinite(mats[g])):
+                e = math.frexp(max(abs(a) for _, v in group for a in v))[1]
+                mats[g] = ref_jump_sum(n, [(x, [math.ldexp(a, -e) for a in v])
+                                           for x, v in group])
     total = 0
-    for _, M in ref_merged_jump_matrices(jumps):
+    for M in mats:
         evals = np.linalg.eigvalsh(M)
         top = float(evals[-1])
         if top > 0.0:
             total += int(np.count_nonzero(evals > RANK_TOL * top))
     return None if total == len(jumps) else RankSumMismatch
+
+
+def overflowing_sigma():
+    """A sigma whose jump matrices at node 0 sum to an infinite entry."""
+    return bs.SpectralFunction(3, [
+        (0.0, (0.0, 0.0, 1e-14)), (0.0, (0.0, 1e154, 0.0)), (0.0, (0.0, 1e154, 0.0)),
+        (1.0, (1.0, 0.0, 0.0)), (2.0, (0.0, 1.0, 1.0))])
 
 
 def ref_to_dense(A):
@@ -249,6 +281,61 @@ def ref_gate_cond(sigma, gs):
             A, F = ref_replay(sigma, gs.basis_heights, k)
             changes += [np.max(np.abs(A - A0)), np.max(np.abs(F - gs.first_block))]
     return float(np.max(changes)) / GATE_STEP
+
+
+def ref_random_band_matrix(rng, n, N, j0=None):
+    """random_band_matrix one entry at a time: the profile's draws,
+    the main diagonal, then each level from the outermost in, free
+    entries over [-1, 1) up to the previous level's index, positive
+    ones over [0.35, 1.6) up to this level's, zero tails undrawn."""
+    m = bs.sampling.random_profile(rng, n, N, j0)
+
+    def positive():
+        return float(rng.uniform(0.35, 1.6))
+
+    def free():
+        return float(rng.uniform(-1.0, 1.0))
+
+    diags = [tuple(free() for _ in range(N))]
+    levels = {}
+    prev = 0
+    for j in range(n):
+        entries = []
+        for k in range(1, N - (n - j) + 1):
+            if k <= prev:
+                entries.append(free())
+            elif k < m[j]:
+                entries.append(positive())
+            else:
+                entries.append(0.0)
+        levels[n - j] = tuple(entries)
+        prev = m[j]
+    for g in range(1, n + 1):
+        diags.append(levels[g])
+    return bs.BandMatrix(n, N, tuple(diags))
+
+
+def ref_random_tinit(rng, n):
+    """random_tinit one entry at a time, row by row."""
+    rows = []
+    for i in range(n):
+        row = [0.0] * n
+        row[i] = float(rng.uniform(0.5, 2.0))
+        for j in range(i + 1, n):
+            row[j] = float(rng.uniform(-1.0, 1.0))
+        rows.append(tuple(row))
+    return bs.TriangularInit(n, tuple(rows))
+
+
+def ref_random_chain(rng, N, zero_kp_from=None):
+    """random_chain one value at a time: masses, then k, then kp."""
+    masses = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(N))
+    k = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(N + 1))
+    kp = [float(rng.uniform(0.5, 2.0)) for _ in range(N)]
+    if zero_kp_from is not None:
+        for i in range(zero_kp_from, N + 1):
+            kp[i - 1] = 0.0
+    return bs.SpringChain(masses, k, tuple(kp))
 
 
 def degree(coeffs):

@@ -178,6 +178,35 @@ def test_random_profile_roundtrip(data):
     assert prof.m[-1] if prof.j0 == 0 else True
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_samplers_match_per_entry_reference(data):
+    """Each sampler gives, bit for bit, the values of its one-draw-per-
+    entry reference in helpers and leaves the generator in the same
+    state."""
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=128))
+    top = n - 1 if N >= n + 2 else 0
+    j0 = data.draw(st.sampled_from([None] + list(range(top + 1))))
+    cut = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=N + 2)))
+
+    def check(draw, ref, fields, *args):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = draw(rng, *args), ref(ref_rng, *args)
+        for field in fields:
+            assert helpers.bits(getattr(got, field)) == helpers.bits(getattr(want, field))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    check(bs.sampling.random_band_matrix, helpers.ref_random_band_matrix, ("diags",),
+          n, N, j0)
+    check(bs.sampling.random_jacobi,
+          lambda rng, N: helpers.ref_random_band_matrix(rng, 1, N, 0), ("diags",), N)
+    check(bs.sampling.random_tinit, helpers.ref_random_tinit, ("rows",), n)
+    check(bs.sampling.random_chain, helpers.ref_random_chain, ("masses", "k", "kp"),
+          N, cut)
+
+
 def test_recurrence_hand_example_identity_start():
     A = bs.BandMatrix(1, 2, ((0.0, 0.0), (1.0,)))
     table = bs.solve_recurrence(A, bs.TriangularInit.identity(1), bs.validate_band(A))

@@ -12,6 +12,8 @@ import bandspec as bs
 from bandspec import fileio
 from bandspec.cli import main
 
+import helpers
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -174,6 +176,15 @@ def test_inverse_rejects_dead_component(tmp_path, capsys):
     path = write(tmp_path, "dead.json", fileio.dump_sigma(sig))
     assert main(["inverse", path]) == 2
     assert "DeadComponent" in capsys.readouterr().err
+
+
+def test_inverse_refuses_overflowing_jump_sum(tmp_path):
+    path = write(tmp_path, "overflow.json", fileio.dump_sigma(helpers.overflowing_sigma()))
+    proc = subprocess.run([sys.executable, "-m", "bandspec", "inverse", path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: RankSumMismatch")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_inverse_reports_undecidable_residual(tmp_path, capsys):
