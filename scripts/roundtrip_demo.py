@@ -27,7 +27,7 @@ def run_once(args):
     print("spectral function: %d jumps on [%.4f, %.4f]"
           % (len(sig.jumps), sig.jumps[0].x, sig.jumps[-1].x))
 
-    res = bs.reconstruct(sig, tol_zero=args.tol_zero)
+    res = bs.reconstruct(sig)
     dev = np.max(np.abs(bs.to_dense(res.matrix) - bs.to_dense(A)))
     tdev = np.max(np.abs(res.tinit.dense() - np.eye(A.n)))
     gs = res.diagnostics
@@ -49,8 +49,6 @@ def main():
     parser.add_argument("-N", "--dimension", type=int, default=8)
     parser.add_argument("--cuts", type=int, default=1,
                         help="number of genuine degeneration cuts")
-    parser.add_argument("--tol-zero", type=float, default=1e-10,
-                        help="zero-norm decision threshold")
     run_once(parser.parse_args())
 
 

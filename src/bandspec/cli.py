@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Five subcommands: validate, direct, inverse, spring, roundtrip.  Exit
-codes form a stable contract: 0 success, 1 parse or I/O failure, 2
-validation failure (input outside the admissible class, or over the
-size caps), 3 a numerical decision could not be made safely.
+codes form a stable contract: 0 success, 1 usage error, parse or I/O
+failure, 2 validation failure (input outside the admissible class, or
+over the size caps), 3 a numerical decision could not be made safely.
 
 Sizes are capped at N <= 64 and n <= 8 here (the library itself has no
 caps), the range over which the inverse is tested and measured.  Inside
@@ -91,7 +91,7 @@ def cmd_direct(args):
 def cmd_inverse(args):
     sigma = fileio.read_file(args.sigma_file, "sigma")
     _check_caps(sigma.n, sigma.N)
-    rec = reconstruct(sigma, tol_zero=args.tol_zero)
+    rec = reconstruct(sigma)
     _emit(fileio.dump_matrix(rec.matrix), args.output)
     if args.tinit_out is not None:
         fileio.write_file(args.tinit_out, rec.tinit)
@@ -184,8 +184,6 @@ def build_parser():
                    help="output matrix file ('-' for stdout)")
     p.add_argument("--tinit-out", metavar="FILE",
                    help="also write the recovered initial-value matrix")
-    p.add_argument("--tol-zero", type=float, default=1e-8,
-                   help="relative zero-norm threshold (default 1e-8)")
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("spring", help="mass-spring chain tools")
@@ -214,16 +212,14 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's exit 2 would read as a class violation
+        return 1 if exc.code else 0
     try:
         args.func(args)
-    except InputError as exc:
+    except (InputError, ValidationError, NumericalDecisionError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
-    except NumericalDecisionError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 3
+        return (1 if isinstance(exc, InputError)
+                else 2 if isinstance(exc, ValidationError) else 3)
     return 0

@@ -116,7 +116,7 @@ class NoConvergence(NumericalDecisionError):
 
 class IterationCapExceeded(NumericalDecisionError):
     """Gram-Schmidt exceeded its height-derived iteration cap; the input
-    is not an admissible spectral function or tol_zero is ill-chosen."""
+    is not an admissible spectral function."""
 
 
 class AmbiguousNorm(NumericalDecisionError):

@@ -68,6 +68,9 @@ from .spectral import validate_sigma
 #: outside the band or in a degenerate range of the recovered matrix.
 BAND_TOL = 1e-9
 
+#: Relative zero-norm threshold of band Lanczos (see gram_schmidt).
+DEFLATION_TOL = 1e-8
+
 #: The conditioning gate: number of perturbed replays, the perturbation
 #: size, and the largest condition estimate times eps that may return.
 GATE_REPLAYS = 5
@@ -146,7 +149,7 @@ def _project(Q, v):
     return v - q @ Q, p + q
 
 
-def gram_schmidt(sigma, tol_zero=1e-8):
+def gram_schmidt(sigma):
     """Orthonormalize the candidates of band Lanczos against sigma, and
     estimate the condition of the run.
 
@@ -155,7 +158,7 @@ def gram_schmidt(sigma, tol_zero=1e-8):
     height h - n, and a height whose class has died is skipped.  Each
     candidate gets two block Gram-Schmidt passes on the node values;
     only the first n members become polynomials, for their constants.
-    Each residual norm is compared against tau = tol_zero *
+    Each residual norm is compared against tau = DEFLATION_TOL *
     sqrt(|candidate|^2 + 1): above 10 tau it joins the basis
     (normalized), below tau / 10 it is a generator of the zero class
     and its residue mod n dies, and anything in between stops the
@@ -172,8 +175,6 @@ def gram_schmidt(sigma, tol_zero=1e-8):
     sigma : SpectralFunction
         Must satisfy validate_sigma; callers that skip validation get
         undefined error types.
-    tol_zero : float
-        Relative zero-norm threshold, default 1e-8.
 
     Returns
     -------
@@ -224,13 +225,12 @@ def gram_schmidt(sigma, tol_zero=1e-8):
                 raise IterationCapExceeded(
                     "consumed %d heights (cap %d) with %d basis members and "
                     "%d generators; the input is not the spectral function of "
-                    "any admissible band matrix, or tol_zero=%g is ill-chosen"
-                    % (h + 1, cap, len(row), len(gheights), tol_zero)
+                    "any admissible band matrix" % (h + 1, cap, len(row), len(gheights))
                 )
             if h >= n and h - n not in row:
                 continue  # the residue class of h is dead
             v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
-            tau = tol_zero * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
+            tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
             r = len(row)
             v, c = _project(Q[:, :r], v)
             nrm = math.sqrt(float(np.vdot(v[0], v[0])))
@@ -257,8 +257,7 @@ def gram_schmidt(sigma, tol_zero=1e-8):
             else:
                 raise AmbiguousNorm(
                     "candidate at height %d has residual norm %r within a "
-                    "factor 10 of the zero threshold %r; tighten or loosen "
-                    "tol_zero to decide" % (h, nrm, tau)
+                    "factor 10 of the zero threshold %r" % (h, nrm, tau)
                 )
     if len(row) != N:
         raise IterationCapExceeded(
@@ -395,7 +394,7 @@ def initial_conditions(gs):
     return TriangularInit(n, tuple(map(tuple, gs.first_block)))
 
 
-def reconstruct(sigma, tol_zero=1e-8):
+def reconstruct(sigma):
     """Full inverse problem: spectral function to band matrix.
 
     Validates sigma, orthogonalizes, gates the run on its condition
@@ -419,7 +418,7 @@ def reconstruct(sigma, tol_zero=1e-8):
         outright).
     """
     validate_sigma(sigma)
-    gs = gram_schmidt(sigma, tol_zero)
+    gs = gram_schmidt(sigma)
     _gate(sigma, gs)
     A = matrix_from_basis(sigma, gs)
     try:

@@ -219,6 +219,7 @@ def transform_spectral_function(sigma, T):
     return _own(object.__new__(SpectralFunction), sigma.n, sigma.x, alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan: validate_sigma decides
 def merged_jump_matrices(sigma):
     """Group jumps at numerically equal nodes and sum their matrices.
 
@@ -280,8 +281,8 @@ def validate_sigma(sigma):
         raise DeadComponent(
             "component %d has zero coefficient at every node" % (dead[0] + 1)
         )
+    groups = merged_jump_matrices(sigma)
     with np.errstate(over="ignore"):  # overflows are decided below
-        groups = merged_jump_matrices(sigma)
         weights = np.sum(sigma.alpha * sigma.alpha, axis=1)
     total = sigma.N
     if len(groups) < sigma.N or not np.all(

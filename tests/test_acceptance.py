@@ -54,7 +54,7 @@ def pool():
                 j0 = rep % n if N >= n + 2 else 0
                 A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
                 sig = bs.canonical_spectral_function(A)
-                res = bs.reconstruct(sig, tol_zero=1e-10)
+                res = bs.reconstruct(sig)
                 records.append((A, sig, res))
     elapsed = time.perf_counter() - start
     assert len(records) >= 200
@@ -252,7 +252,7 @@ def test_criterion_7_scalar_recurrence_oracle():
         nodes = np.array([j.x for j in sig.jumps])
         weights = np.array([j.alpha[0] ** 2 for j in sig.jumps])
         diag, off, t11 = stieltjes_jacobi(nodes, weights)
-        res = bs.reconstruct(sig, tol_zero=1e-10)
+        res = bs.reconstruct(sig)
         dev = max(dev, float(np.max(np.abs(
             np.array(res.matrix.diags[0]) - diag))))
         if N > 1:

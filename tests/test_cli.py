@@ -196,7 +196,7 @@ def test_inverse_reports_undecidable_residual(tmp_path, capsys):
 
 
 def test_inverse_refuses_ill_conditioned_sigma(tmp_path, capsys):
-    # seed (32, 16, 1) of scripts/tol_zero_table.py, n = 3: the data do
+    # seed (32, 16, 1) of scripts/completion_table.py, n = 3: the data do
     # not determine the matrix to the accuracy bound
     rng = np.random.default_rng((32, 16, 1))
     A = bs.sampling.random_band_matrix(rng, int(rng.integers(1, 9)), 32)
@@ -206,6 +206,24 @@ def test_inverse_refuses_ill_conditioned_sigma(tmp_path, capsys):
     assert main(["inverse", path, "-o", out]) == 3
     assert "IllConditioned" in capsys.readouterr().err
     assert not (tmp_path / "back.json").exists()
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    # exit 2 means input outside the class; a bad command line, such
+    # as an unknown option, is malformed input
+    sig = bs.canonical_spectral_function(seven_by_seven())
+    path = write(tmp_path, "sigma.json", fileio.dump_sigma(sig))
+    assert main(["inverse", path, "--tol-zero", "1e-10"]) == 1
+    assert "unrecognized arguments: --tol-zero 1e-10" in capsys.readouterr().err
+    assert main(["inverse"]) == 1
+    assert "required: sigma_file" in capsys.readouterr().err
+
+
+def test_help_exits_zero_without_threshold_flag(capsys):
+    assert main(["inverse", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bandspec inverse")
+    assert "--tol" not in out
 
 
 def test_spring_frequencies_exact_output(tmp_path, capsys):

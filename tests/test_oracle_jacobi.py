@@ -25,7 +25,7 @@ def test_pipeline_matches_scalar_recurrence():
         weights = [j.alpha[0] ** 2 for j in sig.jumps]
         diag, off, t11 = stieltjes_jacobi(nodes, weights)
 
-        rec = bs.reconstruct(sig, tol_zero=1e-10)
+        rec = bs.reconstruct(sig)
         got_diag = rec.matrix.diags[0]
         got_off = rec.matrix.diags[1]
         assert max(abs(a - b) for a, b in zip(got_diag, diag)) < 1e-8
@@ -54,5 +54,5 @@ def test_scalar_recurrence_tracks_measure_mass():
     scaled = bs.SpectralFunction(
         1, [(x, (math.sqrt(w),)) for x, w in zip(nodes, weights)]
     )
-    rec = bs.reconstruct(scaled, tol_zero=1e-10)
+    rec = bs.reconstruct(scaled)
     assert abs(rec.tinit.rows[0][0] - t11) < 1e-8

@@ -92,7 +92,7 @@ def test_reconstruct_roundtrip_to_twelve():
     for n, N, j0 in ((1, 12, None), (2, 12, 1), (3, 12, 2), (3, 12, None)):
         A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
         sig = bs.canonical_spectral_function(A)
-        rec = bs.reconstruct(sig, tol_zero=1e-10)
+        rec = bs.reconstruct(sig)
         dev = np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A)))
         assert dev < 1e-8
         assert np.max(np.abs(np.array(rec.tinit.rows) - np.eye(n))) < 1e-8
@@ -123,7 +123,7 @@ def test_reconstruct_recovers_transform_matrix():
         A = bs.sampling.random_band_matrix(rng, n, N)
         T = bs.sampling.random_tinit(rng, n)
         sig = bs.transform_spectral_function(bs.canonical_spectral_function(A), T)
-        rec = bs.reconstruct(sig, tol_zero=1e-10)
+        rec = bs.reconstruct(sig)
         assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
         assert np.max(np.abs(np.array(rec.tinit.rows) - T.dense())) < 1e-8
 
@@ -171,7 +171,7 @@ def test_orthonormality_and_heights_at_scale():
             A = bs.sampling.random_band_matrix(rng, n, N)
             sig = bs.canonical_spectral_function(A)
             try:
-                gs = bs.gram_schmidt(sig, tol_zero=1e-12)
+                gs = bs.gram_schmidt(sig)
             except AmbiguousNorm:
                 ambiguous += 1
                 continue
@@ -190,7 +190,7 @@ def test_height_laws_on_mixed_instances():
         A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
         m1 = bs.validate_band(A).m[0]
         sig = bs.canonical_spectral_function(A)
-        gs = bs.gram_schmidt(sig, tol_zero=1e-10)
+        gs = bs.gram_schmidt(sig)
         ph = gs.basis_heights
         qh = gs.generator_heights
 
@@ -240,7 +240,7 @@ def test_positive_entry_pattern_follows_heights():
     for n, N, j0 in ((2, 8, 1), (3, 9, 2), (2, 6, None)):
         A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
         sig = bs.canonical_spectral_function(A)
-        rec = bs.reconstruct(sig, tol_zero=1e-10)
+        rec = bs.reconstruct(sig)
         gs = rec.diagnostics
         qh = gs.generator_heights
         for k in range(1, N + 1):
@@ -260,7 +260,7 @@ def test_jump_recovery():
     for n, N, j0 in ((1, 9, None), (2, 8, 1), (3, 11, 2)):
         A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
         sig = bs.canonical_spectral_function(A)
-        rec = bs.reconstruct(sig, tol_zero=1e-10)
+        rec = bs.reconstruct(sig)
         back = bs.canonical_spectral_function(rec.matrix)
         m1 = bs.merged_jump_matrices(sig)
         m2 = bs.merged_jump_matrices(back)
@@ -300,32 +300,29 @@ def test_ambiguous_norm_at_conditioning_limit():
     # cliff; band Lanczos returns it within the bound, exact profile
     rng = np.random.default_rng(39)
     A = bs.sampling.random_jacobi(rng, 32)
-    rec = bs.reconstruct(bs.canonical_spectral_function(A), tol_zero=1e-12)
+    rec = bs.reconstruct(bs.canonical_spectral_function(A))
     assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
     assert rec.profile == bs.validate_band(A)
-    # where the data do not determine the matrix to the bound, every
-    # threshold must refuse rather than guess: the draw of
-    # scripts/tol_zero_table.py at seed (32, 16, 1), n = 3, whose
+    # where the data do not determine the matrix to the bound, the run
+    # must refuse rather than guess: the draw of
+    # scripts/completion_table.py at seed (32, 16, 1), n = 3, whose
     # smallest weight |alpha_k|^2 is 9e-11, came back 4.9e-8 off with
     # the right profile from the monomial engine
     rng = np.random.default_rng((32, 16, 1))
     A = bs.sampling.random_band_matrix(rng, int(rng.integers(1, 9)), 32)
     sig = bs.canonical_spectral_function(A)
-    for tol in (1e-8, 1e-10, 1e-12):
-        with pytest.raises(IllConditioned, match="exceeds the bound"):
-            bs.reconstruct(sig, tol_zero=tol)
+    with pytest.raises(IllConditioned, match="exceeds the bound"):
+        bs.reconstruct(sig)
 
 
 def test_gate_returns_well_conditioned_half_bandwidth_one():
-    # n = 1 at N = 24 came back 1.07e-8 off at tol_zero 1e-12 from the
-    # monomial engine; its condition estimate passes the gate
+    # n = 1 at N = 24 came back 1.07e-8 off from the monomial engine
+    # (zero-norm threshold 1e-12); its condition estimate passes the gate
     A = bs.sampling.random_band_matrix(np.random.default_rng((24, 1, 0)), 1, 24)
-    sig = bs.canonical_spectral_function(A)
-    for tol in (1e-8, 1e-10, 1e-12):
-        rec = bs.reconstruct(sig, tol_zero=tol)
-        assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
-        assert rec.profile == bs.validate_band(A)
-        assert np.max(np.abs(rec.tinit.dense() - np.eye(1))) < 1e-8
+    rec = bs.reconstruct(bs.canonical_spectral_function(A))
+    assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) < 1e-8
+    assert rec.profile == bs.validate_band(A)
+    assert np.max(np.abs(rec.tinit.dense() - np.eye(1))) < 1e-8
 
 
 def test_gate_refuses_before_band_checks(monkeypatch):
@@ -380,8 +377,7 @@ def test_inverse_contract(data):
     """Every return is right and every refusal is numerical.
 
     Over the CLI caps (n <= 8, N <= 64), any j0, with and without
-    random initial values, at the README's three tol_zero values: a
-    returned reconstruction gives back A and T within 1e-8 and the
+    random initial values: a returned reconstruction gives back A and T within 1e-8 and the
     exact profile; anything else must be a NumericalDecisionError
     (exit 3), never a class violation.
     """
@@ -389,7 +385,6 @@ def test_inverse_contract(data):
     N = data.draw(st.integers(min_value=n + 1, max_value=64))
     j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
     with_t = data.draw(st.booleans())
-    tol = data.draw(st.sampled_from((1e-8, 1e-10, 1e-12)))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
     T = bs.sampling.random_tinit(rng, n) if with_t else None
@@ -397,7 +392,7 @@ def test_inverse_contract(data):
         sig = bs.canonical_spectral_function(A)
         if T is not None:
             sig = bs.transform_spectral_function(sig, T)
-        rec = bs.reconstruct(sig, tol_zero=tol)
+        rec = bs.reconstruct(sig)
     except NumericalDecisionError:
         return
     assert np.max(np.abs(bs.to_dense(rec.matrix) - bs.to_dense(A))) <= 1e-8
@@ -460,7 +455,7 @@ def test_rescaled_sigma_matches_stored_values():
     rng = np.random.default_rng(40)
     A = bs.sampling.random_band_matrix(rng, 2, 9, j0=1)
     sig = bs.canonical_spectral_function(A)
-    rec = bs.reconstruct(sig, tol_zero=1e-10)
+    rec = bs.reconstruct(sig)
     gs = rec.diagnostics
     # nodes mapped through y = (x - center) / scale, coefficients kept
     ssig = bs.SpectralFunction(sig.n, [

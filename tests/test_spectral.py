@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,26 @@ def test_merged_jumps_node_tolerance():
     gap = 1e-10 + 5e-21
     sig = bs.SpectralFunction(1, [(-gap, (0.6,)), (0.0, (0.8,))])
     assert [x for x, _ in bs.merged_jump_matrices(sig)] == [-gap]
+
+
+@pytest.mark.parametrize("jumps", [
+    [(0.0, (1e160, 0.0)), (1.0, (0.6, 0.8)), (2.0, (0.8, -0.6))],
+    [(0.0, (1e154, 1e154)), (1.0, (0.6, 0.8)), (2.0, (0.8, -0.6))],
+    [(0.0, (1e154, 1e154)), (0.0, (1e154, 1e154)), (2.0, (0.8, -0.6))],
+    [(0.0, (1e160, -1e160)), (0.0, (1e160, 1e160)), (1.0, (0.6, 0.8)), (2.0, (0.8, -0.6))],
+])
+def test_merged_jumps_overflow_without_warning(jumps):
+    # an overflowed matrix is inf, or nan where inf meets -inf, for
+    # validate_sigma to decide, whoever calls: a lone jump's outer
+    # product (entries 1e160) or an exact tie's sum, bit for bit the
+    # reference
+    sig = bs.SpectralFunction(2, jumps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = helpers.bits(helpers.ref_merged_jump_matrices(sig.jumps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bs.merged_jump_matrices(sig)
+    assert helpers.bits(got) == want
 
 
 def test_merged_jumps_invariant_under_eigenspace_rotation():
