@@ -29,6 +29,15 @@ draws in turn `random_jacobi`, `random_band_matrix` (n = 2, random j0),
 None, 1, N // 2 + 1 and N + 1, each written in hex, so a change to any
 value a sampler draws, or to how many draws it takes, shows.
 
+Last of all come 16 band cases: hand-built `BandMatrix` values with a
+leading 0.0, -1.0 or NaN, n = 0, a negative entry at and past the cut,
+a positive entry past the cut, a cut on the innermost level, an empty
+run, every level forced, j0 = n - 1, NaN and -0.0 as cuts, +inf inside
+a run and negative entries where the class leaves them free.  Each row
+holds the `validate_band` verdict: [m, j0, empty_runs], or the error
+class and message.  These rows need only `BandMatrix` and
+`validate_band`.
+
 Only write mode imports `bandspec`; `--compare` runs without it.
 
     python3 scripts/inverse_fingerprint.py parent.jsonl
@@ -153,6 +162,43 @@ def sampler_rows():
                    "draws": [hexes(v) for v in values]}
 
 
+def band_cases():
+    nan, inf = float("nan"), float("inf")
+    z5, z6, z8 = (0.0,) * 5, (0.0,) * 6, (0.0,) * 8
+    p4, p5 = (0.5,) * 4, (0.5,) * 5
+    yield "leading 0.0", 2, 5, (z5, p4, (0.0, 1.0, 1.0))
+    yield "leading -1.0", 2, 5, (z5, p4, (-1.0, 1.0, 1.0))
+    yield "leading NaN", 2, 5, (z5, p4, (nan, 0.0, 0.0))
+    yield "n = 0", 0, 3, ((1.0, 2.0, 3.0),)
+    yield "negative at the cut", 2, 5, (z5, p4, (1.0, -0.2, 1.0))
+    yield "negative past the cut", 2, 6, (z6, p5, (1.0, 0.0, -0.3, 0.0))
+    yield "positive past the cut", 2, 5, (z5, p4, (1.0, 0.0, 1.0))
+    yield "cut on the innermost level", 2, 5, (z5, (0.5, 0.5, 0.0, 0.0), (1.0, 0.0, 0.0))
+    yield "empty run, n = 3", 3, 8, (z8, (0.3, -0.2, 0.1, 0.6, 0.6, 0.6, 0.6),
+                                     (0.4, 0.2, 0.0, 0.0, 0.0, 0.0), (0.9, 0.0, 0.0, 0.0, 0.0))
+    yield "every level forced", 3, 7, ((0.0,) * 7, (0.5,) * 6, p5, p4)
+    yield "j0 = n - 1", 3, 7, ((0.4, -1.1, 0.0, 2.0, -0.3, 0.9, 1.5),
+                               (0.1, -0.4, 0.0, 0.2, -0.9, 0.7),
+                               (-0.2, 0.5, 0.0, 0.8, 0.0), (1.0, 1.3, 0.0, 0.0))
+    yield "NaN as the cut", 2, 6, (z6, p5, (1.0, nan, 0.0, 0.0))
+    yield "NaN past the cut", 2, 6, (z6, p5, (1.0, 0.0, nan, 0.0))
+    yield "-0.0 as the cut", 2, 6, (z6, p5, (1.0, 1.0, -0.0, 0.0))
+    yield "+inf inside a run", 2, 6, (z6, p5, (1.0, inf, 0.0, 0.0))
+    yield "negative unconstrained entries", 2, 6, ((-1.0,) * 6, (-0.7, -0.4, 0.5, 0.5, 0.5),
+                                                   (1.0, 0.0, 0.0, 0.0))
+
+
+def band_fingerprint(name, n, N, diags):
+    row = {"case": "band: " + name}
+    try:
+        prof = bs.validate_band(bs.BandMatrix(n, N, diags))
+        row["verdict"] = [list(prof.m), prof.j0, list(prof.empty_runs)]
+    except bs.errors.ValidationError as exc:
+        row["verdict"] = type(exc).__name__
+        row["message"] = str(exc)
+    return row
+
+
 def write(path):
     global bs
     import bandspec as bs
@@ -163,6 +209,8 @@ def write(path):
             fh.write(json.dumps(direct_fingerprint(name, jumps), sort_keys=True) + "\n")
         for row in sampler_rows():
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for case in band_cases():
+            fh.write(json.dumps(band_fingerprint(*case), sort_keys=True) + "\n")
 
 
 def matrix_gap(a, b):

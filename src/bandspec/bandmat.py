@@ -8,11 +8,11 @@ exact zeros; the position of the first zero on each level is a
 degeneration index m_j.  ``validate_band`` infers those indices and
 checks the sign pattern.
 
-``solve_recurrence`` builds, for a validated matrix and an upper
-triangular matrix of initial values, the N recurrence solutions p_k
-(vector polynomials that are orthonormal under the matrix's spectral
-function) together with the n zero-norm generators q_i collected at the
-degeneration positions.
+``solve_recurrence`` builds, for a member of the class (it validates
+the matrix itself) and an upper triangular matrix of initial values,
+the N recurrence solutions p_k (vector polynomials that are orthonormal
+under the matrix's spectral function) together with the n zero-norm
+generators q_i collected at the degeneration positions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     NonContiguousPositiveRun,
     NotTriangular,
     ValidationError,
-    ZeroPivot,
 )
 from . import vecpoly
 from .vecpoly import linear_combine, shift_mul
@@ -64,7 +63,7 @@ class BandMatrix:
             )
         canon = []
         for j, d in enumerate(self.diags):
-            d = tuple(float(v) for v in d)
+            d = tuple(map(float, d))
             if len(d) != self.N - j:
                 raise DimensionMismatch(
                     "diagonal %d must have %d entries, got %d"
@@ -120,7 +119,7 @@ class TriangularInit:
             )
         canon = []
         for i, row in enumerate(self.rows):
-            row = tuple(float(v) for v in row)
+            row = tuple(map(float, row))
             if len(row) != self.n:
                 raise DimensionMismatch("row %d has wrong length" % i)
             if row[i] == 0.0:
@@ -200,56 +199,50 @@ def validate_band(A):
         )
     m = []
     empty_runs = []
-    j0 = None
     prev = 0  # m_0
     for j in range(n):
         d = A.diags[n - j]
         lo, hi = prev + 1, N - n + j
-        cut = None
-        for k in range(lo, hi + 1):
+        for cut in range(lo, hi + 1):
+            if not d[cut - 1] > 0.0:
+                break
+        else:
+            # no cut: this level and every later one, whose scan ranges
+            # are empty, take their forced indices
+            break
+        for k in range(cut, hi + 1):
             v = d[k - 1]
-            if cut is None:
-                if v > 0.0:
-                    continue
-                if v < 0.0:
+            if v < 0.0:
+                if k == cut:
                     raise NegativeConstrainedEntry(
                         "d^(%d)_%d = %r must be positive or zero"
                         % (n - j, k, v)
                     )
-                cut = k
-            else:
-                if v > 0.0:
-                    raise NonContiguousPositiveRun(
-                        "d^(%d)_%d = %r is positive after the zero cut at "
-                        "position %d" % (n - j, k, v, cut)
-                    )
-                if v < 0.0:
-                    raise NegativeConstrainedEntry(
-                        "d^(%d)_%d = %r must be zero past the cut at %d"
-                        % (n - j, k, v, cut)
-                    )
-        if cut is None:
-            if j0 is None:
-                j0 = j
-            m.append(hi + 1)
-        else:
-            # once a level has no cut, later scan ranges are empty and
-            # cannot produce one, so cuts always precede forced levels
-            assert j0 is None
-            if j == n - 1:
-                raise InnermostDegeneration(
-                    "zero at position %d of the innermost off-diagonal: at "
-                    "most %d degeneration levels are allowed" % (cut, n - 1)
+                raise NegativeConstrainedEntry(
+                    "d^(%d)_%d = %r must be zero past the cut at %d"
+                    % (n - j, k, v, cut)
                 )
-            if cut == prev + 1:
-                # no positive entry between consecutive cuts; legal but
-                # unusual, so flag it (cannot happen at level 0, where
-                # the leading entry is already known positive)
-                empty_runs.append(j + 1)
-            m.append(cut)
-        prev = m[-1]
-    return DegenerationProfile(tuple(m), n if j0 is None else j0,
-                               tuple(empty_runs))
+            if v > 0.0:
+                raise NonContiguousPositiveRun(
+                    "d^(%d)_%d = %r is positive after the zero cut at "
+                    "position %d" % (n - j, k, v, cut)
+                )
+        if j == n - 1:
+            raise InnermostDegeneration(
+                "zero at position %d of the innermost off-diagonal: at "
+                "most %d degeneration levels are allowed" % (cut, n - 1)
+            )
+        if cut == prev + 1:
+            # no positive entry between consecutive cuts; legal but
+            # unusual, so flag it (at level 0 only a NaN leading entry,
+            # which passes the LeadingZero test, gets here)
+            empty_runs.append(j + 1)
+        m.append(cut)
+        prev = cut
+    # a cut on the innermost level raised, so the loop broke at the
+    # first forced level j = j0, and levels j..n-1 get hi + 1 .. N
+    m.extend(range(hi + 1, N + 1))
+    return DegenerationProfile(tuple(m), j, tuple(empty_runs))
 
 
 def to_dense(A):
@@ -280,7 +273,7 @@ def shrink_band(A):
     return BandMatrix(n, A.N, A.diags[: n + 1])
 
 
-def solve_recurrence(A, T, profile):
+def solve_recurrence(A, T):
     """Solve the band recurrence for all N positions.
 
     The defining equations are the rows of A r(z) = z r(z) read as
@@ -297,16 +290,16 @@ def solve_recurrence(A, T, profile):
     Parameters
     ----------
     A : BandMatrix
-        Must already satisfy validate_band with the given profile.
+        validate_band(A) supplies the profile; a matrix outside the
+        class raises its error here.
     T : TriangularInit
         Initial values; T.n must equal A.n.
-    profile : DegenerationProfile
-        As returned by validate_band(A).
 
     Returns
     -------
     RecurrenceTable
     """
+    profile = validate_band(A)
     n, N = A.n, A.N
     if T.n != n:
         raise DimensionMismatch(
@@ -334,12 +327,8 @@ def solve_recurrence(A, T, profile):
         if k in cuts:
             generators.append(r)
         else:
+            # m_s < k < m_{s+1}: validate_band found this pivot positive
             pivot = A.entry(n - s, k)
-            if pivot <= 0.0:
-                raise ZeroPivot(
-                    "entry d^(%d)_%d = %r is not positive; the profile "
-                    "marks it as inside a positive run" % (n - s, k, pivot)
-                )
             new_index = k + n - s
             assert new_index == len(basis) + 1, "recurrence lost contiguity"
             basis.append(linear_combine([(1.0 / pivot, r)]))
@@ -376,14 +365,9 @@ def rank_defect(table, z):
     base = max(1.0, abs(z))
     mass = 0.0
     for q in table.generators:
-        # row d, column j: |coefficient of z**d in component j + 1| * base**d
-        rows = len(q.coef) // q.n + 1
-        grid = np.zeros(rows * q.n)
-        grid[: len(q.coef)] = np.abs(q.coef)
-        grid = grid.reshape(rows, q.n) * np.array([[base ** d] for d in range(rows)])
-        # cumsum adds strictly in ascending degree; np.sum would sum
-        # pairwise and round differently
-        mass = max(mass, float(grid.cumsum(axis=0)[-1].max()))
+        for c in q.comps:
+            # sum adds left to right, in ascending degree
+            mass = max(mass, sum(abs(v) * base ** d for d, v in enumerate(c)))
     svals = np.linalg.svd(M, compute_uv=False)
     thresh = RANK_DEFECT_TOL * max(float(svals[0]), mass)
     if thresh == 0.0:

@@ -58,11 +58,6 @@ class InnermostDegeneration(ValidationError):
     range, which would push the degeneration count past n-1."""
 
 
-class ZeroPivot(ValidationError):
-    """The recurrence needs to divide by a diagonal entry that the
-    profile claims positive but which is <= 0 (inconsistent input)."""
-
-
 class NotSymmetric(ValidationError):
     """A dense matrix handed to the eigensolver is not symmetric."""
 

@@ -310,7 +310,7 @@ def _perturbations(N, n):
     return g, G
 
 
-def _gate(sigma, gs):
+def _gate(gs):
     """Refuse a run whose answer the input data do not determine to the
     accuracy bound: gs.cond, the condition estimate of the run on sigma
     (see gram_schmidt), times the machine epsilon must not exceed
@@ -419,7 +419,7 @@ def reconstruct(sigma):
     """
     validate_sigma(sigma)
     gs = gram_schmidt(sigma)
-    _gate(sigma, gs)
+    _gate(gs)
     A = matrix_from_basis(sigma, gs)
     try:
         profile = validate_band(A)

@@ -43,9 +43,9 @@ class SpringChain:
     kp: tuple
 
     def __post_init__(self):
-        masses = tuple(float(v) for v in self.masses)
-        k = tuple(float(v) for v in self.k)
-        kp = tuple(float(v) for v in self.kp)
+        masses = tuple(map(float, self.masses))
+        k = tuple(map(float, self.k))
+        kp = tuple(map(float, self.kp))
         N = len(masses)
         if N < 1:
             raise DimensionMismatch("a chain needs at least one body")

@@ -190,9 +190,9 @@ def linear_combine(terms):
 def trim_small(p, rel=1e-12):
     """Zero out coefficients below rel * (largest absolute coefficient).
 
-    Used to clean residue polynomials coming out of orthogonalization,
-    where exact cancellations leave rounding dust.  The zero polynomial
-    passes through unchanged.
+    The zero polynomial passes through unchanged.  Nothing in the
+    library calls it; it stays only because perfbench's span list
+    (perfbench/spans.py) traces it by name.
     """
     if p.is_zero():
         return p

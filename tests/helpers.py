@@ -15,6 +15,10 @@ two must agree bit for bit.  The ref_* functions on spectral functions
 do the same for the direct problem, one jump at a time on (x, alpha)
 records, and ref_to_dense unpacks a band matrix entry by entry.
 
+ref_validate_band decides class membership and the degeneration
+profile with one state machine per level; validate_band must raise the
+same error with the same message, or return the same profile.
+
 ref_replay runs one of the conditioning gate's perturbed copies on its
 own, with every decision pinned to the input's heights, and
 ref_gate_cond takes the gate's condition estimate over those lone
@@ -38,7 +42,12 @@ import bandspec as bs
 from bandspec.errors import (
     DeadComponent,
     DimensionMismatch,
+    InnermostDegeneration,
+    LeadingZero,
+    NegativeConstrainedEntry,
+    NonContiguousPositiveRun,
     RankSumMismatch,
+    ValidationError,
     ZeroJump,
 )
 from bandspec.reconstruct import GATE_REPLAYS, GATE_STEP, _perturbations, _project
@@ -235,6 +244,72 @@ def ref_to_dense(A):
             M[i + j, i] = v
             M[i, i + j] = v
     return M
+
+
+def ref_validate_band(A):
+    """validate_band as a state machine over each level's scan range:
+    before the cut an entry must be positive, the first one that is not
+    is the cut, and after it every entry must be zero."""
+    n, N = A.n, A.N
+    if n < 1:
+        raise ValidationError("class membership needs n >= 1")
+    if A.diags[n][0] <= 0.0:
+        raise LeadingZero(
+            "d^(%d)_1 = %r violates 1 < m_1 < N-n+1: the outermost diagonal "
+            "must start with a positive entry" % (n, A.diags[n][0])
+        )
+    m = []
+    empty_runs = []
+    j0 = None
+    prev = 0  # m_0
+    for j in range(n):
+        d = A.diags[n - j]
+        lo, hi = prev + 1, N - n + j
+        cut = None
+        for k in range(lo, hi + 1):
+            v = d[k - 1]
+            if cut is None:
+                if v > 0.0:
+                    continue
+                if v < 0.0:
+                    raise NegativeConstrainedEntry(
+                        "d^(%d)_%d = %r must be positive or zero"
+                        % (n - j, k, v)
+                    )
+                cut = k
+            else:
+                if v > 0.0:
+                    raise NonContiguousPositiveRun(
+                        "d^(%d)_%d = %r is positive after the zero cut at "
+                        "position %d" % (n - j, k, v, cut)
+                    )
+                if v < 0.0:
+                    raise NegativeConstrainedEntry(
+                        "d^(%d)_%d = %r must be zero past the cut at %d"
+                        % (n - j, k, v, cut)
+                    )
+        if cut is None:
+            if j0 is None:
+                j0 = j
+            m.append(hi + 1)
+        else:
+            # once a level has no cut, later scan ranges are empty and
+            # cannot produce one, so cuts always precede forced levels
+            assert j0 is None
+            if j == n - 1:
+                raise InnermostDegeneration(
+                    "zero at position %d of the innermost off-diagonal: at "
+                    "most %d degeneration levels are allowed" % (cut, n - 1)
+                )
+            if cut == prev + 1:
+                # no positive entry between consecutive cuts; legal but
+                # unusual, so flag it (cannot happen at level 0, where
+                # the leading entry is already known positive)
+                empty_runs.append(j + 1)
+            m.append(cut)
+        prev = m[-1]
+    return bs.DegenerationProfile(tuple(m), n if j0 is None else j0,
+                                  tuple(empty_runs))
 
 
 def ref_replay(sigma, heights, k):

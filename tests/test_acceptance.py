@@ -87,7 +87,7 @@ def test_criterion_2_orthonormality_and_zero_class(pool):
     qnorm = 0.0
     for A, sig, _ in records:
         table = bs.solve_recurrence(
-            A, bs.TriangularInit.identity(A.n), bs.validate_band(A))
+            A, bs.TriangularInit.identity(A.n))
         for j, pj in enumerate(table.basis):
             for k in range(j, len(table.basis)):
                 g = bs.inner(sig, pj, table.basis[k])
@@ -157,7 +157,7 @@ def test_criterion_5_rank_matches_multiplicity():
     worst_gap = None
     for A in _rank_instances(crafted):
         table = bs.solve_recurrence(
-            A, bs.TriangularInit.identity(A.n), bs.validate_band(A))
+            A, bs.TriangularInit.identity(A.n))
         values = np.linalg.eigvalsh(bs.to_dense(A))
         clusters = _cluster(values, 1e-8)
         for center, size in clusters:

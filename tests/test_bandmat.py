@@ -96,6 +96,36 @@ def test_profile_flags_empty_run():
     assert prof.empty_runs == (2,)
 
 
+def _verdict(validate, A):
+    try:
+        prof = validate(A)
+    except bs.errors.ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return prof.m, prof.j0, prof.empty_runs
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_validate_band_matches_reference(data):
+    """validate_band and the state-machine reference in helpers agree on
+    the error class and message, or on m, j0 and empty_runs, for
+    members with up to 4 entries overwritten by zeros, tiny or negative
+    values, NaN or inf."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    top = n - 1 if N >= n + 2 else 0
+    j0 = data.draw(st.sampled_from([None] + list(range(top + 1))))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    diags = [list(d) for d in bs.sampling.random_band_matrix(rng, n, N, j0).diags]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        j = data.draw(st.integers(min_value=0, max_value=n))
+        k = data.draw(st.integers(min_value=0, max_value=N - j - 1))
+        diags[j][k] = data.draw(st.sampled_from(
+            [0.0, -0.0, 1e-300, -1e-300, 0.7, -0.5, float("nan"), float("inf")]))
+    A = bs.BandMatrix(n, N, tuple(diags))
+    assert _verdict(bs.validate_band, A) == _verdict(helpers.ref_validate_band, A)
+
+
 def test_band_matrix_shape_checks():
     with pytest.raises(bs.errors.DimensionMismatch):
         bs.BandMatrix(1, 2, ((0.0, 0.0), (1.0, 1.0)))
@@ -209,7 +239,7 @@ def test_samplers_match_per_entry_reference(data):
 
 def test_recurrence_hand_example_identity_start():
     A = bs.BandMatrix(1, 2, ((0.0, 0.0), (1.0,)))
-    table = bs.solve_recurrence(A, bs.TriangularInit.identity(1), bs.validate_band(A))
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(1))
     assert [p.comps for p in table.basis] == [((1.0,),), ((0.0, 1.0),)]
     assert [q.comps for q in table.generators] == [((-1.0, 0.0, 1.0),)]
 
@@ -217,23 +247,34 @@ def test_recurrence_hand_example_identity_start():
 def test_recurrence_hand_example_scaled_start():
     A = bs.BandMatrix(1, 2, ((0.0, 0.0), (1.0,)))
     T = bs.TriangularInit(1, ((2.0,),))
-    table = bs.solve_recurrence(A, T, bs.validate_band(A))
+    table = bs.solve_recurrence(A, T)
     assert [p.comps for p in table.basis] == [((2.0,),), ((0.0, 2.0),)]
 
 
 def test_recurrence_structure_on_degenerate_instance():
     rng = np.random.default_rng(3)
     A = bs.sampling.random_band_matrix(rng, 2, 6, j0=1)
-    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2), bs.validate_band(A))
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2))
     assert len(table.basis) == 6
     assert len(table.generators) == 2
     hs = [bs.height(q) for q in table.generators]
     assert hs[0] % 2 != hs[1] % 2
 
 
+def test_solve_recurrence_refuses_matrix_outside_class():
+    for outer, error in (((0.0, 1.0, 1.0), LeadingZero),
+                         ((1.0, 0.0, 1.0), NonContiguousPositiveRun)):
+        A = bs.BandMatrix(2, 5, ((0.0,) * 5, (0.5, 0.5, 0.5, 0.5), outer))
+        with pytest.raises(error) as want:
+            bs.validate_band(A)
+        with pytest.raises(error) as got:
+            bs.solve_recurrence(A, bs.TriangularInit.identity(2))
+        assert str(got.value) == str(want.value)
+
+
 def test_generator_matrix_hand_example():
     A = bs.BandMatrix(1, 2, ((0.0, 0.0), (1.0,)))
-    table = bs.solve_recurrence(A, bs.TriangularInit.identity(1), bs.validate_band(A))
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(1))
     M = bs.generator_matrix(table, 1.0)
     assert M.shape == (1, 1)
     assert M[0, 0] == 0.0
@@ -243,7 +284,7 @@ def test_generator_matrix_hand_example():
 def test_generator_matrix_determinant_tracks_spectrum():
     rng = np.random.default_rng(12)
     A = bs.sampling.random_band_matrix(rng, 2, 7)
-    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2), bs.validate_band(A))
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2))
     evals = np.linalg.eigvalsh(bs.to_dense(A))
     for lam in evals:
         M = bs.generator_matrix(table, float(lam))
@@ -255,7 +296,7 @@ def test_generator_matrix_determinant_tracks_spectrum():
 def test_rank_defect_simple_and_far():
     rng = np.random.default_rng(7)
     A = bs.sampling.random_band_matrix(rng, 2, 6)
-    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2), bs.validate_band(A))
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2))
     evals = np.linalg.eigvalsh(bs.to_dense(A))
     assert all(bs.rank_defect(table, float(v)) == 1 for v in evals)
     assert bs.rank_defect(table, float(evals[-1]) + 3.0) == 0
@@ -276,7 +317,7 @@ def test_rank_defect_multiplicity_two():
     A = interleaved_double_jacobi()
     prof = bs.validate_band(A)
     assert prof.m == (3, 4)
-    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2), prof)
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2))
     evals = np.linalg.eigvalsh(bs.to_dense(A))
     assert abs(evals[0] - evals[1]) < 1e-12 and abs(evals[2] - evals[3]) < 1e-12
     for lam in (evals[0], evals[2]):
@@ -292,7 +333,7 @@ def test_recurrence_boundary_generators_close_the_table():
     for n, N, j0 in ((1, 5, None), (2, 7, 1), (3, 9, 2)):
         A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
         prof = bs.validate_band(A)
-        table = bs.solve_recurrence(A, bs.TriangularInit.identity(n), prof)
+        table = bs.solve_recurrence(A, bs.TriangularInit.identity(n))
         pheights = [bs.height(p) for p in table.basis]
         qheights = [bs.height(q) for q in table.generators]
         for mj, qh in zip(prof.m, sorted(qheights)):

@@ -38,7 +38,7 @@ def test_gram_schmidt_hand_example():
 
     # the polynomials come from the recurrence on the result
     rec = bs.reconstruct(flip_sigma())
-    table = bs.solve_recurrence(rec.matrix, rec.tinit, rec.profile)
+    table = bs.solve_recurrence(rec.matrix, rec.tinit)
     p1, p2 = table.basis
     assert len(p1.comps[0]) == 1 and abs(p1.comps[0][0] - 1.0) < 1e-14
     assert abs(p2.comps[0][1] - 1.0) < 1e-14
@@ -336,7 +336,7 @@ def test_gate_refuses_before_band_checks(monkeypatch):
     with pytest.raises(IllConditioned):
         bs.reconstruct(sig)
     monkeypatch.setattr(sys.modules["bandspec.reconstruct"], "_gate",
-                        lambda sigma, gs: None)
+                        lambda gs: None)
     with pytest.raises(ProfileMismatch):
         bs.reconstruct(sig)
 
@@ -464,7 +464,7 @@ def test_rescaled_sigma_matches_stored_values():
     assert min(ys) == -1.0 and max(ys) == 1.0
     # the recurrence polynomials live in x; their node values are the
     # ones stored for the scaled frame
-    basis = bs.solve_recurrence(rec.matrix, rec.tinit, rec.profile).basis
+    basis = bs.solve_recurrence(rec.matrix, rec.tinit).basis
     for a in range(len(basis)):
         for b in range(a, len(basis)):
             via_inner = bs.inner(sig, basis[a], basis[b])
@@ -488,7 +488,7 @@ def test_recurrence_on_result_reproduces_orthogonalization():
                             sig, bs.sampling.random_tinit(rng, n))
                     rec = bs.reconstruct(sig)
                     gs = rec.diagnostics
-                    table = bs.solve_recurrence(rec.matrix, rec.tinit, rec.profile)
+                    table = bs.solve_recurrence(rec.matrix, rec.tinit)
                     assert tuple(bs.height(p) for p in table.basis) == gs.basis_heights
                     assert ({bs.height(q) for q in table.generators}
                             == set(gs.generator_heights))

@@ -251,7 +251,7 @@ def _two_node_sigma():
 def test_interpolation_solution_accepts_generator():
     sig = _two_node_sigma()
     rec = bs.reconstruct(sig)
-    q = bs.solve_recurrence(rec.matrix, rec.tinit, rec.profile).generators[0]
+    q = bs.solve_recurrence(rec.matrix, rec.tinit).generators[0]
     assert helpers.is_interpolation_solution(q, sig, 1e-9)
 
 
