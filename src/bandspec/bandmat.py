@@ -181,8 +181,8 @@ def validate_band(A):
     Raises
     ------
     LeadingZero
-        d^(n)_1 <= 0, which would put the first degeneration at
-        position 1 in violation of 1 < m_1 <= N-n+1.
+        d^(n)_1 is not positive (NaN included): the first degeneration
+        would sit at position 1, in violation of 1 < m_1 <= N-n+1.
     NegativeConstrainedEntry, NonContiguousPositiveRun
         Sign-pattern violations inside a constrained range.
     InnermostDegeneration
@@ -192,7 +192,7 @@ def validate_band(A):
     n, N = A.n, A.N
     if n < 1:
         raise ValidationError("class membership needs n >= 1")
-    if A.diags[n][0] <= 0.0:
+    if not A.diags[n][0] > 0.0:
         raise LeadingZero(
             "d^(%d)_1 = %r violates 1 < m_1 < N-n+1: the outermost diagonal "
             "must start with a positive entry" % (n, A.diags[n][0])
@@ -234,8 +234,8 @@ def validate_band(A):
             )
         if cut == prev + 1:
             # no positive entry between consecutive cuts; legal but
-            # unusual, so flag it (at level 0 only a NaN leading entry,
-            # which passes the LeadingZero test, gets here)
+            # unusual, so flag it (cannot happen at level 0, where the
+            # leading entry is already known positive)
             empty_runs.append(j + 1)
         m.append(cut)
         prev = cut

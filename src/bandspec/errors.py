@@ -40,7 +40,7 @@ class ValidationError(BandSpecError):
 
 
 class LeadingZero(ValidationError):
-    """First entry of the outermost diagonal is <= 0 (the first
+    """First entry of the outermost diagonal is not positive (the first
     degeneration index would be 1, which the class forbids)."""
 
 

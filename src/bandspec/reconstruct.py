@@ -138,17 +138,6 @@ def height_degeneration_indices(gs):
     return tuple(m)
 
 
-def _project(Q, v):
-    """Two block classical Gram-Schmidt passes of the rows v against the
-    rows of Q (both with the same leading axes); returns the residual and
-    the summed coefficients of both passes."""
-    Qt = Q.swapaxes(-1, -2)
-    p = v @ Qt
-    v = v - p @ Q
-    q = v @ Qt
-    return v - q @ Q, p + q
-
-
 def gram_schmidt(sigma):
     """Orthonormalize the candidates of band Lanczos against sigma, and
     estimate the condition of the run.
@@ -212,6 +201,7 @@ def gram_schmidt(sigma):
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
     Q = np.zeros((GATE_REPLAYS + 1, N, N))
+    Qt = Q.swapaxes(1, 2)  # a view: it sees every row stored later
     F = np.zeros((GATE_REPLAYS + 1, n, n))
     row = {}  # accepted height -> its row of Q
     gheights, block = [], []
@@ -232,8 +222,14 @@ def gram_schmidt(sigma):
             v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
             tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
             r = len(row)
-            v, c = _project(Q[:, :r], v)
-            nrm = math.sqrt(float(np.vdot(v[0], v[0])))
+            # two block CGS passes, then every slot's squared residual norm
+            Qr, Qtr = Q[:, :r], Qt[:, :, :r]
+            p = v @ Qtr
+            v = v - p @ Qr
+            q = v @ Qtr
+            v -= q @ Qr
+            nrms = v @ v.swapaxes(1, 2)
+            nrm = math.sqrt(nrms.item(0))
             if nrm > 10.0 * tau:
                 if r == N:
                     raise IterationCapExceeded(
@@ -241,10 +237,10 @@ def gram_schmidt(sigma):
                         "on a full basis; the input is not an admissible "
                         "spectral function" % (h, nrm)
                     )
-                nrms = np.sqrt(v @ v.swapaxes(1, 2))
-                nrms[0] = nrm
-                Q[:, r] = (v / nrms)[:, 0]
+                np.sqrt(nrms, out=nrms)
+                np.divide(v, nrms, out=Q[:, r, None])
                 if h < n:
+                    c = p + q
                     block.append((h, c[0, 0], nrm))
                     # column h of the initial values: every member so
                     # far is a constant at a lower height
@@ -276,12 +272,15 @@ def gram_schmidt(sigma):
         # the lower members, all constants
         cand = linear_combine([(1.0, vecpoly.basis_vector(b + 1, n))]
                               + [(-ck, p) for ck, p in zip(c, first)])
-        first.append(linear_combine([(1.0 / nrm, cand)]))
+        # the one-term linear_combine, whose + 0.0 turns -0.0 into 0.0
+        first.append(vecpoly._canonical(n, (1.0 / nrm) * cand.coef + 0.0))
         consts[:b + 1, b] = first[-1].coef
     with np.errstate(all="ignore"):
-        A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
+        A = (Q * y) @ Qt
+        A *= scale[:, :, None]
         A += center[:, :, None] * np.eye(N)
-        change = np.max((np.max(np.abs(A[1:] - A[0])),
+        A[1:] -= A[0]  # each copy's change, in place
+        change = np.max((np.max(np.abs(A[1:], out=A[1:])),
                          np.max(np.abs(F[1:] - consts))))
     values = Q[0].copy()
     values.flags.writeable = consts.flags.writeable = False

@@ -72,8 +72,9 @@ class VecPoly:
 
 def _canonical(n, coef):
     """VecPoly owning coef, trimmed to its last nonzero entry."""
-    nonzero = np.flatnonzero(coef)
-    coef = coef[: nonzero[-1] + 1] if len(nonzero) else coef[:0]
+    if not (len(coef) and coef[-1] != 0.0):
+        nonzero = np.flatnonzero(coef)
+        coef = coef[: nonzero[-1] + 1] if len(nonzero) else coef[:0]
     coef.flags.writeable = False
     return VecPoly(n, coef)
 

@@ -19,6 +19,9 @@ ref_validate_band decides class membership and the degeneration
 profile with one state machine per level; validate_band must raise the
 same error with the same message, or return the same profile.
 
+ref_gram_schmidt is gram_schmidt written with one _project call per
+height; gram_schmidt must agree with it bit for bit, refusals included.
+
 ref_replay runs one of the conditioning gate's perturbed copies on its
 own, with every decision pinned to the input's heights, and
 ref_gate_cond takes the gate's condition estimate over those lone
@@ -40,9 +43,11 @@ import numpy as np
 
 import bandspec as bs
 from bandspec.errors import (
+    AmbiguousNorm,
     DeadComponent,
     DimensionMismatch,
     InnermostDegeneration,
+    IterationCapExceeded,
     LeadingZero,
     NegativeConstrainedEntry,
     NonContiguousPositiveRun,
@@ -50,7 +55,15 @@ from bandspec.errors import (
     ValidationError,
     ZeroJump,
 )
-from bandspec.reconstruct import GATE_REPLAYS, GATE_STEP, _perturbations, _project
+from bandspec.reconstruct import (
+    DEFLATION_TOL,
+    GATE_REPLAYS,
+    GATE_STEP,
+    Orthogonalization,
+    _perturbations,
+)
+from bandspec import vecpoly
+from bandspec.vecpoly import linear_combine
 from bandspec.spectral import NODE_MERGE_TOL, RANK_TOL
 
 
@@ -253,7 +266,7 @@ def ref_validate_band(A):
     n, N = A.n, A.N
     if n < 1:
         raise ValidationError("class membership needs n >= 1")
-    if A.diags[n][0] <= 0.0:
+    if not A.diags[n][0] > 0.0:
         raise LeadingZero(
             "d^(%d)_1 = %r violates 1 < m_1 < N-n+1: the outermost diagonal "
             "must start with a positive entry" % (n, A.diags[n][0])
@@ -310,6 +323,127 @@ def ref_validate_band(A):
         prev = m[-1]
     return bs.DegenerationProfile(tuple(m), n if j0 is None else j0,
                                   tuple(empty_runs))
+
+
+def _project(Q, v):
+    """Two block classical Gram-Schmidt passes of the rows v against the
+    rows of Q (both with the same leading axes); returns the residual and
+    the summed coefficients of both passes."""
+    Qt = Q.swapaxes(-1, -2)
+    p = v @ Qt
+    v = v - p @ Q
+    q = v @ Qt
+    return v - q @ Q, p + q
+
+
+def ref_gram_schmidt(sigma):
+    """gram_schmidt with one _project call per height, a separate vdot
+    for the input's residual norm and a one-term linear_combine for each
+    normalized first-block member."""
+    n, N = sigma.n, sigma.N
+    if N <= n:
+        raise DimensionMismatch(
+            "need more jumps than components, got N=%d n=%d" % (N, n)
+        )
+    g, G = _perturbations(N, n)
+    # slot 0 is the input, slot k > 0 its k-th perturbed copy
+    x = np.vstack((sigma.x, sigma.x * (1.0 + GATE_STEP * g)))
+    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
+    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if scale[0, 0] == 0.0:
+        # a single node carries rank at most n < N, so validated input
+        # cannot land here
+        raise DimensionMismatch("all nodes coincide")
+    y = ((x - center) / scale)[:, None, :]
+    alpha = np.concatenate((sigma.alpha[None], sigma.alpha + GATE_STEP * G))
+    consts_of = np.moveaxis(alpha, 2, 0)[:, :, None, :]  # values of e_{h+1}
+
+    total_height = N * n + n * (n - 1) // 2
+    cap = n * (N - n + 1) + 1
+    Q = np.zeros((GATE_REPLAYS + 1, N, N))
+    F = np.zeros((GATE_REPLAYS + 1, n, n))
+    row = {}  # accepted height -> its row of Q
+    gheights, block = [], []
+    h = -1
+    # a copy that breaks down shows as NaN in cond; the input's slot
+    # never divides by a norm below 10 tau
+    with np.errstate(all="ignore"):
+        while len(gheights) < n:
+            h += 1
+            if h >= cap:
+                raise IterationCapExceeded(
+                    "consumed %d heights (cap %d) with %d basis members and "
+                    "%d generators; the input is not the spectral function of "
+                    "any admissible band matrix" % (h + 1, cap, len(row), len(gheights))
+                )
+            if h >= n and h - n not in row:
+                continue  # the residue class of h is dead
+            v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
+            tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
+            r = len(row)
+            v, c = _project(Q[:, :r], v)
+            nrm = math.sqrt(float(np.vdot(v[0], v[0])))
+            if nrm > 10.0 * tau:
+                if r == N:
+                    raise IterationCapExceeded(
+                        "candidate at height %d has norm %g after projection "
+                        "on a full basis; the input is not an admissible "
+                        "spectral function" % (h, nrm)
+                    )
+                nrms = np.sqrt(v @ v.swapaxes(1, 2))
+                nrms[0] = nrm
+                Q[:, r] = (v / nrms)[:, 0]
+                if h < n:
+                    block.append((h, c[0, 0], nrm))
+                    # column h of the initial values: every member so
+                    # far is a constant at a lower height
+                    col = -(F[:, :, list(row)] @ c.swapaxes(1, 2))[:, :, 0]
+                    col[:, h] += 1.0
+                    F[:, :, h] = col / nrms[:, 0]
+                row[h] = r
+            elif nrm < 0.1 * tau:
+                gheights.append(h)
+            else:
+                raise AmbiguousNorm(
+                    "candidate at height %d has residual norm %r within a "
+                    "factor 10 of the zero threshold %r" % (h, nrm, tau)
+                )
+    if len(row) != N:
+        raise IterationCapExceeded(
+            "every residue class died with %d of %d basis members; the "
+            "input is not an admissible spectral function" % (len(row), N)
+        )
+    if sum(gheights) != total_height:
+        raise IterationCapExceeded(
+            "generator heights %r sum to %d, but admissible spectral "
+            "functions require %d"
+            % (tuple(gheights), sum(gheights), total_height)
+        )
+    first, consts = [], np.zeros((n, n))
+    for b, c, nrm in block:
+        # the member at height b < n is e_{b+1} minus its projections on
+        # the lower members, all constants
+        cand = linear_combine([(1.0, vecpoly.basis_vector(b + 1, n))]
+                              + [(-ck, p) for ck, p in zip(c, first)])
+        first.append(linear_combine([(1.0 / nrm, cand)]))
+        consts[:b + 1, b] = first[-1].coef
+    with np.errstate(all="ignore"):
+        A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
+        A += center[:, :, None] * np.eye(N)
+        change = np.max((np.max(np.abs(A[1:] - A[0])),
+                         np.max(np.abs(F[1:] - consts))))
+    values = Q[0].copy()
+    values.flags.writeable = consts.flags.writeable = False
+    return Orthogonalization(
+        basis_heights=tuple(row),
+        generator_heights=tuple(gheights),
+        iterations=h + 1,
+        node_scale=float(scale[0, 0]),
+        node_center=float(center[0, 0]),
+        values=values,
+        first_block=consts,
+        cond=float(change) / GATE_STEP,
+    )
 
 
 def ref_replay(sigma, heights, k):

@@ -53,12 +53,13 @@ def test_profile_rejects_noncontiguous_run():
 
 
 def test_profile_rejects_leading_zero():
-    A = bs.BandMatrix(
-        2, 5, ((0.0,) * 5, (0.5, 0.5, 0.5, 0.5), (0.0, 1.0, 1.0))
-    )
-    with pytest.raises(LeadingZero) as info:
-        bs.validate_band(A)
-    assert "1 < m_1 < N-n+1" in str(info.value)
+    # a NaN fails the sign test too: NaN <= 0.0 is false, and a test of
+    # that form let it through with m_1 = 1
+    for outer in ((0.0, 1.0, 1.0), (float("nan"), 0.0, 0.0)):
+        A = bs.BandMatrix(2, 5, ((0.0,) * 5, (0.5, 0.5, 0.5, 0.5), outer))
+        with pytest.raises(LeadingZero) as info:
+            bs.validate_band(A)
+        assert "1 < m_1 < N-n+1" in str(info.value)
 
 
 def test_profile_rejects_negative_constrained_entry():

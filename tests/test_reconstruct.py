@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bandspec as bs
 from bandspec.errors import (
@@ -400,6 +400,12 @@ def test_inverse_contract(data):
     assert np.max(np.abs(rec.tinit.dense() - want_T)) <= 1e-8
     assert rec.profile == bs.validate_band(A)
     assert rec.diagnostics.cond * np.finfo(float).eps <= GATE_BOUND
+    # the direct problem on the returned matrix and initial values gives
+    # the input back
+    back = bs.transform_spectral_function(bs.canonical_spectral_function(rec.matrix),
+                                          rec.tinit)
+    assert np.max(np.abs(back.x - sig.x)) <= 1e-8
+    assert np.max(np.abs(back.alpha - sig.alpha)) <= 1e-6
 
 
 def test_gate_copies_run_independently(monkeypatch):
@@ -449,6 +455,58 @@ def test_gate_cond_matches_copies_run_alone(data):
     except NumericalDecisionError:
         return
     assert gs.cond.hex() == helpers.ref_gate_cond(sig, gs).hex()
+
+
+#: hand-built (n, jumps) that gram_schmidt refuses
+INADMISSIBLE = {
+    "identical directions": (2, [(x, (1.0, 1.0)) for x in (-1.5, -0.5, 0.5, 1.5)]),
+    "ambiguous norm": (1, [(-1.0, (1.0 / math.sqrt(2.0),)), (0.0, (1e-8,)),
+                           (1.0, (1.0 / math.sqrt(2.0),))]),
+    # a tied node and a dead component: every class dies early
+    "classes die early": (2, [(0.0, (1.0, 0.0)), (0.0, (1.0, 0.0)), (1.0, (1.0, 0.0))]),
+}
+
+
+@st.composite
+def lanczos_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    N = draw(st.integers(min_value=n + 1, max_value=64))
+    j0 = draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
+    return n, N, j0, draw(st.booleans()), draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+def _lanczos_outcome(run, sig):
+    try:
+        gs = run(sig)
+    except bs.errors.BandSpecError as exc:
+        return type(exc), str(exc)
+    return (gs.basis_heights, gs.generator_heights, gs.iterations,
+            helpers.bits([gs.node_scale, gs.node_center]), gs.values.shape,
+            gs.values.tobytes(), gs.first_block.tobytes(), np.float64(gs.cond).tobytes())
+
+
+@settings(deadline=None, max_examples=120)
+@given(case=lanczos_cases())
+@example(case="identical directions")
+@example(case="ambiguous norm")
+@example(case="classes die early")
+def test_gram_schmidt_matches_reference(case):
+    """gram_schmidt and helpers.ref_gram_schmidt give the same heights,
+    iterations, node frame, values, first block and cond, as bytes, or
+    the same refusal class and message."""
+    if isinstance(case, str):
+        sig = bs.SpectralFunction(*INADMISSIBLE[case])
+    else:
+        n, N, j0, with_t, seed = case
+        rng = np.random.default_rng(seed)
+        try:
+            sig = bs.canonical_spectral_function(
+                bs.sampling.random_band_matrix(rng, n, N, j0=j0))
+            if with_t:
+                sig = bs.transform_spectral_function(sig, bs.sampling.random_tinit(rng, n))
+        except bs.errors.BandSpecError:
+            return
+    assert _lanczos_outcome(bs.gram_schmidt, sig) == _lanczos_outcome(helpers.ref_gram_schmidt, sig)
 
 
 def test_rescaled_sigma_matches_stored_values():

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import bandspec as bs
 from bandspec.errors import MixedDimension
+from bandspec.vecpoly import _canonical
 
 import helpers
 
@@ -273,3 +275,21 @@ def test_interpolation_solution_dimension_check():
     sig = _two_node_sigma()
     with pytest.raises(bs.errors.DimensionMismatch):
         helpers.is_interpolation_solution(bs.basis_vector(1, 2), sig, 1e-9)
+
+
+#: last entries that decide whether _canonical trims: exact zeros of
+#: both signs, and nonzeros that compare oddly (NaN) or sit at the ends
+#: of the range
+TRIM_EDGES = (0.0, -0.0, math.nan, math.inf, 5e-324, 1.0)
+
+
+@given(st.lists(st.one_of(st.sampled_from(TRIM_EDGES), st.floats(allow_nan=False)),
+                max_size=11),
+       st.lists(st.sampled_from(TRIM_EDGES), max_size=1))
+def test_canonical_trims_like_reference(body, last):
+    """_canonical keeps exactly the coefficients of helpers.ref_trim,
+    byte for byte, on arrays of length 0 to 12, read-only."""
+    coef = np.array(body + last, dtype=float)
+    got = _canonical(3, coef.copy()).coef
+    assert got.tobytes() == np.array(helpers.ref_trim(coef), dtype=float).tobytes()
+    assert not got.flags.writeable
