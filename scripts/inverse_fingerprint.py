@@ -17,9 +17,10 @@ Grid, drawn from seed 0: n in 1..8, N in {8, 16, 32, 48, 64} (N > n),
 every feasible number j0 of genuine cuts, each instance with identity
 and with random initial values.  That is 332 cases.
 
-After the grid come 29 direct-side cases: hand-built spectral
+After the grid come 34 direct-side cases: hand-built spectral
 functions with exact ties, near-tie chains, underflowing and
-overflowing weights, a zero jump, a dead component and a rank deficit.
+overflowing weights, lone and merged at one node, a non-finite entry,
+a zero jump, a dead component and a rank deficit.
 For each one the file holds the groups of `merged_jump_matrices` (node
 and matrix in hex) and the `validate_sigma` verdict and message.
 
@@ -128,6 +129,12 @@ def direct_cases():
         yield "entries %g" % w, [(0.0, (w, w)), (1.0, rot[0]), (2.0, rot[1])]
     yield "entries 1e+154, weight overflows", [(0.0, (1e154, 1e154)), (1.0, rot[0]), (2.0, rot[1])]
     yield "entry 1e+160, matrix overflows", [(0.0, (1e160, 0.0)), (1.0, rot[0]), (2.0, rot[1])]
+    for name, pair in (("independent 1e-170 pair", ((1e-170, 0.0), (0.0, 1e-170))),
+                       ("1e+160 plus a unit vector", ((1e160, 0.0), (0.0, 1.0))),
+                       ("1e-170 plus 1e-180", ((1e-170, 0.0), (0.0, 1e-180))),
+                       ("1e+154 pair", ((1e154, 1e154), (1e154, -1e154))),
+                       ("non-finite entry", ((float("inf"), 0.0), (0.0, 1.0)))):
+        yield "merged " + name, [(0.0, pair[0]), (0.0, pair[1]), (1.0, rot[0]), (2.0, rot[1])]
     yield "subnormal entry", [(0.0, (5e-324, 1.0)), (1.0, rot[0]), (2.0, rot[2])]
     yield "zero jump", [(0.0, (0.0, 0.0)), (1.0, rot[0]), (2.0, rot[1])]
     yield "dead component", [(0.0, (0.6, 0.0)), (1.0, (0.8, 0.0)), (2.0, (1.0, 0.0))]

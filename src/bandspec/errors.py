@@ -10,8 +10,8 @@ Three families matter to callers (and to the CLI exit-code mapping):
 * ``NumericalDecisionError`` - a tolerance-based decision could not be
   made safely, or the answer would not be accurate (ambiguous
   zero-norm test, iteration cap, an ill-conditioned reconstruction,
-  vanishing denominator, a spectral weight lost to underflow).  CLI
-  exit code 3.
+  vanishing denominator, a spectral weight lost to underflow or
+  overflow).  CLI exit code 3.
 """
 
 
@@ -129,6 +129,10 @@ class WeightUnderflow(NumericalDecisionError):
     """An eigenvector of an admissible matrix has its first n entries
     all exactly 0.0, so its jump cannot be represented; the class
     forbids a zero jump, floating point produced it."""
+
+
+class WeightOverflow(NumericalDecisionError):
+    """A transformed coefficient vector (T^t)^-1 alpha is not finite."""
 
 
 class DivisionByZero(NumericalDecisionError):

@@ -187,7 +187,7 @@ def gram_schmidt(sigma):
         )
     g, G = _perturbations(N, n)
     # slot 0 is the input, slot k > 0 its k-th perturbed copy
-    x = np.vstack((sigma.x, sigma.x * (1.0 + GATE_STEP * g)))
+    x = np.concatenate((sigma.x[None], sigma.x * (1.0 + GATE_STEP * g)))
     lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if scale[0, 0] == 0.0:
@@ -196,7 +196,7 @@ def gram_schmidt(sigma):
         raise DimensionMismatch("all nodes coincide")
     y = ((x - center) / scale)[:, None, :]
     alpha = np.concatenate((sigma.alpha[None], sigma.alpha + GATE_STEP * G))
-    consts_of = np.moveaxis(alpha, 2, 0)[:, :, None, :]  # values of e_{h+1}
+    consts_of = alpha.transpose(2, 0, 1)[:, :, None, :]  # values of e_{h+1}
 
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1

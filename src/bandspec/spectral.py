@@ -33,6 +33,7 @@ from .errors import (
     NotSymmetric,
     RankSumMismatch,
     ValidationError,
+    WeightOverflow,
     WeightUnderflow,
     ZeroJump,
 )
@@ -207,7 +208,8 @@ def transform_spectral_function(sigma, T):
     """Map the canonical spectral function to the one for initial
     values T: each coefficient vector becomes (T^t)^{-1} alpha, nodes
     unchanged.  Applying T^t (.) T to the transformed jumps recovers
-    the originals."""
+    the originals.  Raises WeightOverflow when some (T^t)^{-1} alpha
+    is not finite (T nearly singular, a diagonal entry 1e-320, say)."""
     if T.n != sigma.n:
         raise DimensionMismatch(
             "initial values have size %d, spectral function has %d"
@@ -216,10 +218,14 @@ def transform_spectral_function(sigma, T):
     # one single-vector solve per jump, stacked; a multi-column solve
     # would round differently
     alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
+    bad = np.flatnonzero(~np.all(np.isfinite(alpha), axis=1))
+    if len(bad):
+        raise WeightOverflow("jump %d at x=%r: (T^t)^-1 alpha is not finite"
+                             % (bad[0] + 1, float(sigma.x[bad[0]])))
     return _own(object.__new__(SpectralFunction), sigma.n, sigma.x, alpha)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan: validate_sigma decides
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed sum holds inf or nan
 def merged_jump_matrices(sigma):
     """Group jumps at numerically equal nodes and sum their matrices.
 
@@ -257,61 +263,48 @@ def validate_sigma(sigma):
     DeadComponent
         Some component index never receives a nonzero coefficient.
     RankSumMismatch
-        The ranks of the merged per-node jump matrices do not sum to
-        the number of jumps (rank decided by eigenvalues above
-        RANK_TOL * largest).
+        Some coefficient is NaN or infinite, or the ranks of the merged
+        per-node jump matrices do not sum to the number of jumps (rank
+        decided by eigenvalues above RANK_TOL * largest).
 
-    A jump alone at its node is the rank-one matrix alpha alpha^t, so
-    the eigenvalues are computed only when some node merged with
-    another or some weight |alpha|^2 is below the smallest normal
-    float or not finite (its matrix may have lost its rank to
-    underflow); otherwise the ranks sum to N.  When eigvalsh fails on
-    a summed matrix that overflowed, each overflowed group's matrix is
-    rebuilt from its coefficient vectors scaled by a power of two (see
-    _rescaled_group_matrix); groups with a finite matrix keep it.
+    A nonzero, finite jump alone at its node is the rank-one matrix
+    alpha alpha^t, so eigenvalues are computed only when nodes merge.
+    Then each group's matrix is summed again from its vectors scaled
+    by 2^-e, 2^e just above the group's largest |entry|: a power of
+    two changes no rank, and the scaled sum cannot overflow.
     """
     if sigma.__dict__.get("_admissible"):
         return
-    zero = np.flatnonzero(np.all(sigma.alpha == 0.0, axis=1))
+    x, alpha = sigma.x, sigma.alpha
+    zero = np.flatnonzero(np.all(alpha == 0.0, axis=1))
     if len(zero):
         raise ZeroJump("jump at x=%r has a zero coefficient vector"
-                       % float(sigma.x[zero[0]]))
-    dead = np.flatnonzero(np.all(sigma.alpha == 0.0, axis=0))
+                       % float(x[zero[0]]))
+    dead = np.flatnonzero(np.all(alpha == 0.0, axis=0))
     if len(dead):
         raise DeadComponent(
             "component %d has zero coefficient at every node" % (dead[0] + 1)
         )
+    bad = np.flatnonzero(~np.all(np.isfinite(alpha), axis=1))
+    if len(bad):
+        raise RankSumMismatch("jump at x=%r has a non-finite coefficient vector"
+                              % float(x[bad[0]]))
     groups = merged_jump_matrices(sigma)
-    with np.errstate(over="ignore"):  # overflows are decided below
-        weights = np.sum(sigma.alpha * sigma.alpha, axis=1)
     total = sigma.N
-    if len(groups) < sigma.N or not np.all(
-            (weights >= np.finfo(float).tiny) & np.isfinite(weights)):
-        mats = np.array([M for _, M in groups])
-        try:
-            evals = np.linalg.eigvalsh(mats)
-        except np.linalg.LinAlgError:
-            for g in np.flatnonzero(~np.all(np.isfinite(mats), axis=(1, 2))):
-                mats[g] = _rescaled_group_matrix(sigma, groups[g][0])
-            evals = np.linalg.eigvalsh(mats)
-        top = evals[:, -1:]
-        total = int(np.count_nonzero((evals > RANK_TOL * top) & (top > 0.0)))
+    if len(groups) < sigma.N:
+        # equal infinite or NaN nodes never merge: each starts a group
+        k = np.arange(len(groups))
+        start = k + np.maximum.accumulate(np.searchsorted(x, [g for g, _ in groups]) - k)
+        e = np.frexp(np.maximum.reduceat(np.max(np.abs(alpha), axis=1), start))[1]
+        alpha = np.ldexp(alpha, -np.repeat(e, np.diff(start, append=sigma.N))[:, None])
+        evals = np.linalg.eigvalsh(
+            np.add.reduceat(alpha[:, :, None] * alpha[:, None, :], start))
+        total = int(np.count_nonzero(evals > RANK_TOL * evals[:, -1:]))
     if total != sigma.N:
         raise RankSumMismatch(
             "merged jump ranks sum to %d, expected %d" % (total, sigma.N)
         )
     sigma.__dict__["_admissible"] = True
-
-
-def _rescaled_group_matrix(sigma, x0):
-    """Summed jump matrix of the merge group whose first node is x0,
-    from its coefficient vectors scaled by the power of two that brings
-    their largest entry into [0.5, 1).  Scaling changes no rank, so
-    this matrix has the rank that the overflowed sum stands for."""
-    x = sigma.x
-    alpha = sigma.alpha[(x >= x0) & (x - x0 <= NODE_MERGE_TOL * (1.0 + abs(x0)))]
-    alpha = np.ldexp(alpha, -np.frexp(np.max(np.abs(alpha)))[1])
-    return np.sum(alpha[:, :, None] * alpha[:, None, :], axis=0)
 
 
 def jump_sum(sigma):

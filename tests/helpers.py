@@ -206,39 +206,31 @@ def ref_merged_jump_matrices(jumps):
 
 def ref_validate_sigma(n, jumps):
     """The error class validate_sigma raises on these jumps, or None:
-    one jump, one component and one eigvalsh call at a time.  When
-    eigvalsh fails on some group, every group whose summed matrix
-    overflowed is summed again from its vectors scaled by 2**-e, 2**e
-    being just above their largest entry."""
+    one jump, one component and one group at a time.  Each run of
+    merged nodes is decided by one eigvalsh call on the sum of its
+    vectors scaled by 2**-e, 2**e being just above their largest
+    entry; a NaN or infinite coefficient has no rank."""
     for _, alpha in jumps:
         if all(a == 0.0 for a in alpha):
             return ZeroJump
     for j in range(n):
         if all(alpha[j] == 0.0 for _, alpha in jumps):
             return DeadComponent
+    for _, alpha in jumps:
+        if not all(math.isfinite(a) for a in alpha):
+            return RankSumMismatch
     groups = []  # the vectors of each run of merged nodes
     for x, alpha in jumps:
         if groups and x - groups[-1][0] <= NODE_MERGE_TOL * (1.0 + abs(groups[-1][0])):
             groups[-1][1].append(alpha)
         else:
             groups.append((x, [alpha]))
-    groups = [[(x, v) for v in vectors] for x, vectors in groups]
-    mats = [ref_jump_sum(n, group) for group in groups]
-    try:
-        for M in mats:
-            np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError:
-        for g, group in enumerate(groups):
-            if not np.all(np.isfinite(mats[g])):
-                e = math.frexp(max(abs(a) for _, v in group for a in v))[1]
-                mats[g] = ref_jump_sum(n, [(x, [math.ldexp(a, -e) for a in v])
-                                           for x, v in group])
     total = 0
-    for M in mats:
-        evals = np.linalg.eigvalsh(M)
-        top = float(evals[-1])
-        if top > 0.0:
-            total += int(np.count_nonzero(evals > RANK_TOL * top))
+    for x, vectors in groups:
+        e = math.frexp(max(abs(a) for v in vectors for a in v))[1]
+        evals = np.linalg.eigvalsh(ref_jump_sum(
+            n, [(x, [math.ldexp(a, -e) for a in v]) for v in vectors]))
+        total += int(np.count_nonzero(evals > RANK_TOL * evals[-1]))
     return None if total == len(jumps) else RankSumMismatch
 
 

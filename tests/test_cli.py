@@ -120,6 +120,29 @@ def test_direct_identity_tinit_is_noop(tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_direct_refuses_overflowing_transformed_weight(tmp_path, capsys):
+    # T is admissible, but (T^t)^-1 alpha = alpha / 1e-320 overflows
+    A = bs.sampling.random_band_matrix(np.random.default_rng(2), 2, 6)
+    mfile = write(tmp_path, "m.json", fileio.dump_matrix(A))
+    tfile = write(tmp_path, "t.json", '{"n": 2, "rows": [[1e-320, 0.0], [0.0, 1.0]]}')
+    assert main(["direct", mfile, "--tinit", tfile]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: WeightOverflow: jump 1 at x=")
+
+
+@pytest.mark.parametrize("alpha", [(1e-170, 0.0), (1e-170, 1e-170), (1e154, 1e154),
+                                   (1e160, 0.0)])
+def test_inverse_refuses_extreme_admissible_jump_numerically(tmp_path, capsys, alpha):
+    # each sigma is admissible (a lone jump has rank one however large or
+    # small), so its refusal is a numerical limit, not a class violation
+    sig = bs.SpectralFunction(2, [(0.0, alpha), (1.0, (0.6, 0.8)), (2.0, (0.8, -0.6))])
+    bs.validate_sigma(sig)
+    path = write(tmp_path, "extreme.json", fileio.dump_sigma(sig))
+    assert main(["inverse", path]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_direct_summary_prints_identity_sum(tmp_path, capsys):
     rng = np.random.default_rng(2)
     A = bs.sampling.random_band_matrix(rng, 2, 6)

@@ -205,12 +205,15 @@ def test_validate_sigma_rejects_rank_mismatch():
 
 @pytest.mark.parametrize("alpha", [(1e-170, 0.0), (1e154, 1e154)])
 def test_validate_sigma_decides_rank_of_extreme_jump(alpha):
-    # the first jump is alone at its node, but its matrix underflows to
-    # zero or its eigenvalue overflows, so eigvalsh gives it rank 0
+    # the first jump is alone at its node, so it has rank one although
+    # its matrix underflows to zero or its weight overflows; merged
+    # with an orthogonal vector of its size, the group has rank two
     sig = bs.SpectralFunction(
         2, [(0.0, alpha), (1.0, (0.6, 0.8)), (2.0, (0.8, -0.6))])
-    with pytest.raises(RankSumMismatch, match="sum to 2, expected 3"):
-        bs.validate_sigma(sig)
+    bs.validate_sigma(sig)
+    sig = bs.SpectralFunction(
+        2, [(0.0, alpha), (0.0, (-alpha[1], alpha[0])), (2.0, (0.8, -0.6))])
+    bs.validate_sigma(sig)
 
 
 def test_validate_sigma_decides_rank_of_overflowed_group():
@@ -219,6 +222,79 @@ def test_validate_sigma_decides_rank_of_overflowed_group():
     # vector is 1e-168 of the others), so the ranks sum to 3, not 5
     with pytest.raises(RankSumMismatch, match="sum to 3, expected 5"):
         bs.validate_sigma(helpers.overflowing_sigma())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("merged", [False, True])
+def test_validate_sigma_refuses_non_finite_coefficient(bad, merged):
+    # a NaN or infinite coefficient has no rank, alone at its node or not
+    sig = bs.SpectralFunction(2, [(0.0, (bad, 1.0)), (0.0 if merged else 0.5, (0.6, -0.8)),
+                                  (1.0, (0.6, 0.8)), (2.0, (0.8, -0.6))])
+    with pytest.raises(RankSumMismatch, match="non-finite"):
+        bs.validate_sigma(sig)
+    assert helpers.ref_validate_sigma(2, sig.jumps) is RankSumMismatch
+
+
+def test_validate_sigma_keeps_equal_infinite_nodes_apart():
+    # inf - inf is NaN, so equal infinite nodes never merge: the group
+    # at 0 has rank 2 and each node at inf rank 1
+    sig = bs.SpectralFunction(2, [(0.0, (1.0, 0.0)), (0.0, (0.0, 1.0)),
+                                  (math.inf, (0.6, 0.8)), (math.inf, (0.8, -0.6))])
+    assert len(bs.merged_jump_matrices(sig)) == 3
+    bs.validate_sigma(sig)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_validate_sigma_verdict_ignores_group_scale(data):
+    """Scaling a merge group's vectors by a power of two changes no rank,
+    so validate_sigma's verdict stays the same when each group gets its
+    own 2**k, k in [-1000, 1000], however far its entries then are from
+    1.  The entries are 0 or at least 2**-20 and at most 4 in size, so
+    every scaled entry is exact."""
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    N = data.draw(st.integers(min_value=1, max_value=8))
+    size = st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                     st.floats(min_value=2.0**-20, max_value=4.0))
+    entry = st.builds(lambda s, a: s * a, st.sampled_from([1.0, -1.0]), size)
+    # a few vectors, reused with power-of-two factors, give parallel
+    # members and so rank deficits
+    pool = data.draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=3))
+    # near-tie chains: each node 0, 0.5 or 1 merge windows above the
+    # last, or a fresh node 1 above it
+    xs = [data.draw(st.sampled_from([-1.0, 0.0, 2.5]))]
+    for _ in range(N - 1):
+        f = data.draw(st.sampled_from([0.0, 0.5, 1.0, None]))
+        xs.append(xs[-1] + 1.0 if f is None
+                  else xs[-1] + f * NODE_MERGE_TOL * (1.0 + abs(xs[-1])))
+    jumps = []
+    for x in xs:
+        v = data.draw(st.sampled_from(pool))
+        p = data.draw(st.sampled_from([1.0, 0.5, 4.0]))
+        jumps.append((x, tuple(p * a for a in v)))
+    sig = bs.SpectralFunction(n, jumps)
+    group = []  # the merge group of each stored jump
+    first = None
+    for x in sig.x.tolist():
+        if first is None or x - first > NODE_MERGE_TOL * (1.0 + abs(first)):
+            first = x
+            group.append(len(set(group)))
+        else:
+            group.append(group[-1])
+    k = data.draw(st.lists(st.integers(min_value=-1000, max_value=1000),
+                           min_size=len(set(group)), max_size=len(set(group))))
+    scaled = bs.SpectralFunction(
+        n, [(x, tuple(math.ldexp(a, k[g]) for a in alpha))
+            for (x, alpha), g in zip(sig.jumps, group)])
+    assert len(bs.merged_jump_matrices(scaled)) == len(set(group))
+
+    def verdict(s):
+        try:
+            bs.validate_sigma(s)
+        except ValidationError as exc:
+            return type(exc)
+
+    assert verdict(scaled) is verdict(sig) is helpers.ref_validate_sigma(n, sig.jumps)
 
 
 def test_validate_sigma_checks_an_instance_once(monkeypatch):
