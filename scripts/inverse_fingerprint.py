@@ -6,21 +6,25 @@ Write mode runs the direct problem, the initial-value transform and
 JSON line per case holding the spectral function reconstructed from
 (nodes and coefficient vectors) and every output field, floats as hex
 so that two files compare bit for bit, or the refusal class and
-message.  The vector polynomials are not written: they follow from
-the matrix, the initial values and the profile through
-`solve_recurrence`.  Compare mode reads two such files and prints, per field, how
-many cases differ, plus the largest absolute difference in the matrix;
-it exits 1 when any field differs in any case and 0 when the two files
-agree in every field, so it is the bit-identity check on its own.
+message.  Every case whose orthogonalization completes, a return or a
+refusal after it such as `IllConditioned`, also holds the gate's
+condition estimate `cond` of `gram_schmidt` in hex.  The vector
+polynomials are not written: they follow from the matrix, the initial
+values and the profile through `solve_recurrence`.  Compare mode reads
+two such files and prints, per field, how many cases differ, plus the
+largest absolute difference in the matrix; it exits 1 when any field
+differs in any case and 0 when the two files agree in every field, so
+it is the bit-identity check on its own.
 
 Grid, drawn from seed 0: n in 1..8, N in {8, 16, 32, 48, 64} (N > n),
 every feasible number j0 of genuine cuts, each instance with identity
 and with random initial values.  That is 332 cases.
 
-After the grid come 34 direct-side cases: hand-built spectral
+After the grid come 36 direct-side cases: hand-built spectral
 functions with exact ties, near-tie chains, underflowing and
 overflowing weights, lone and merged at one node, a non-finite entry,
-a zero jump, a dead component and a rank deficit.
+a pair of equal infinite nodes, a NaN node, a zero jump, a dead
+component and a rank deficit.
 For each one the file holds the groups of `merged_jump_matrices` (node
 and matrix in hex) and the `validate_sigma` verdict and message.
 
@@ -85,9 +89,15 @@ def fingerprint(key):
     except bs.errors.BandSpecError as exc:
         row["refusal"] = type(exc).__name__
         row["message"] = str(exc)
+        if "sigma" in row:
+            try:
+                row["cond"] = float(bs.gram_schmidt(sigma).cond).hex()
+            except bs.errors.BandSpecError:
+                pass
         return row
     gs = rec.diagnostics
     row.update(
+        cond=float(gs.cond).hex(),
         matrix=[hexes(d) for d in rec.matrix.diags],
         tinit=hexes(rec.tinit.rows),
         profile=[list(rec.profile.m), rec.profile.j0, list(rec.profile.empty_runs)],
@@ -135,6 +145,9 @@ def direct_cases():
                        ("1e+154 pair", ((1e154, 1e154), (1e154, -1e154))),
                        ("non-finite entry", ((float("inf"), 0.0), (0.0, 1.0)))):
         yield "merged " + name, [(0.0, pair[0]), (0.0, pair[1]), (1.0, rot[0]), (2.0, rot[1])]
+    inf, nan = float("inf"), float("nan")
+    yield "equal infinite nodes", [(0.0, rot[2]), (0.0, rot[3]), (inf, rot[0]), (inf, rot[1])]
+    yield "NaN node", [(0.0, rot[0]), (nan, rot[1]), (1.0, rot[2])]
     yield "subnormal entry", [(0.0, (5e-324, 1.0)), (1.0, rot[0]), (2.0, rot[2])]
     yield "zero jump", [(0.0, (0.0, 0.0)), (1.0, rot[0]), (2.0, rot[1])]
     yield "dead component", [(0.0, (0.6, 0.0)), (1.0, (0.8, 0.0)), (2.0, (1.0, 0.0))]

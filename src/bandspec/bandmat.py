@@ -106,7 +106,7 @@ class TriangularInit:
     """Upper triangular matrix of initial values for the recurrence.
 
     Stored as a full square tuple of rows; entries below the diagonal
-    must be exactly zero and the diagonal nonzero.
+    must be exactly zero, the diagonal positive (as reconstruct gives).
     """
 
     n: int
@@ -122,8 +122,9 @@ class TriangularInit:
             row = tuple(map(float, row))
             if len(row) != self.n:
                 raise DimensionMismatch("row %d has wrong length" % i)
-            if row[i] == 0.0:
-                raise NotTriangular("diagonal entry %d is zero" % (i + 1))
+            if not row[i] > 0.0:
+                raise NotTriangular("diagonal entry %d = %r is not positive"
+                                    % (i + 1, row[i]))
             if any(v != 0.0 for v in row[:i]):
                 raise NotTriangular(
                     "row %d has nonzero entries below the diagonal" % (i + 1)
@@ -252,7 +253,7 @@ def to_dense(A):
     flat = M.reshape(-1)
     # diagonal j runs through flat positions j*N + i*(N+1) below the main
     # diagonal and j + i*(N+1) above it, i < N - j
-    for j, d in enumerate(A.diags):
+    for j, d in enumerate(map(np.array, A.diags)):  # converted once, for both slices
         flat[j * N::N + 1] = d
         flat[j:(N - j) * N:N + 1] = d
     return M

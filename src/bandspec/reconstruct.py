@@ -271,17 +271,17 @@ def gram_schmidt(sigma):
         # the member at height b < n is e_{b+1} minus its projections on
         # the lower members, all constants
         cand = linear_combine([(1.0, vecpoly.basis_vector(b + 1, n))]
-                              + [(-ck, p) for ck, p in zip(c, first)])
+                              + [(-ck, p) for ck, p in zip(c.tolist(), first)])
         # the one-term linear_combine, whose + 0.0 turns -0.0 into 0.0
         first.append(vecpoly._canonical(n, (1.0 / nrm) * cand.coef + 0.0))
         consts[:b + 1, b] = first[-1].coef
     with np.errstate(all="ignore"):
         A = (Q * y) @ Qt
         A *= scale[:, :, None]
-        A += center[:, :, None] * np.eye(N)
+        A.reshape(len(A), -1)[:, ::N + 1] += center  # the diagonals
         A[1:] -= A[0]  # each copy's change, in place
-        change = np.max((np.max(np.abs(A[1:], out=A[1:])),
-                         np.max(np.abs(F[1:] - consts))))
+        F[1:] -= consts
+        change = np.maximum(np.abs(A[1:], out=A[1:]).max(), np.abs(F[1:]).max())
     values = Q[0].copy()
     values.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
@@ -351,27 +351,42 @@ def matrix_from_basis(sigma, gs):
     y = (sigma.x - gs.node_center) / gs.node_scale
     V = gs.values
     C = (V * y) @ V.T
-    C = 0.5 * (C + C.T)
+    C = 0.5 * (C + C.T).ravel()  # exactly symmetric, row-major
+    outside, band, ends = _band_layout(N, n)
 
-    leak = np.abs(np.triu(C, n + 1))  # C is exactly symmetric
-    k, l = np.unravel_index(np.argmax(leak), leak.shape)
-    if leak[k, l] > BAND_TOL:
+    leak = np.abs(C[outside])
+    if leak.max(initial=0.0) > BAND_TOL:
+        k, l = divmod(int(outside[leak.argmax()]), N)
         raise BandViolation(
             "inner product at offset %d, position %d is %r, beyond the "
-            "declared bandwidth" % (l - k, k + 1, float(C[k, l]))
+            "declared bandwidth" % (l - k, k + 1, float(C[k * N + l]))
         )
 
     m = height_degeneration_indices(gs)
-    diags = [np.diagonal(C, g).copy() for g in range(n + 1)]
+    b = C[band]
     # zero-constrained ranges per diagonal: offset g is cut from the
     # degeneration index of level n - g + 1 through position N - g;
     # an entry left above BAND_TOL is for band validation to reject
-    for g in range(1, n + 1):
-        cut = diags[g][m[n - g] - 1:]  # from m_{n-g+1}, 1-based
-        cut[np.abs(cut) <= BAND_TOL] = 0.0
-    s, c = gs.node_scale, gs.node_center
-    diags = [s * diags[0] + c] + [s * d for d in diags[1:]]
-    return BandMatrix(n, N, tuple(tuple(d.tolist()) for d in diags))
+    cut = np.abs(b) <= BAND_TOL
+    for g in range(n + 1):  # the main diagonal; offset g before m_{n-g+1}
+        cut[ends[g]:ends[g] + (m[n - g] - 1 if g else N)] = False
+    b[cut] = 0.0
+    b *= gs.node_scale
+    b[:N] += gs.node_center
+    b = b.tolist()
+    return BandMatrix(n, N, tuple(b[lo:hi] for lo, hi in zip(ends, ends[1:])))
+
+
+@functools.lru_cache(maxsize=64)
+def _band_layout(N, n):
+    """Flat indices into an N x N array: of the upper triangle beyond
+    offset n, row by row, and of its diagonals 0 .. n, one after the
+    other; then where each diagonal starts in that list, and its end."""
+    i, j = np.triu_indices(N, n + 1)
+    band = [np.arange(g, (N - g) * N, N + 1) for g in range(n + 1)]
+    outside, flat = i * N + j, np.concatenate(band)
+    outside.flags.writeable = flat.flags.writeable = False
+    return outside, flat, tuple(np.cumsum([0] + [len(d) for d in band]).tolist())
 
 
 def initial_conditions(gs):
@@ -390,7 +405,7 @@ def initial_conditions(gs):
                 "basis member %d is not constant (height %d); the "
                 "input cannot come from an admissible matrix" % (j + 1, h)
             )
-    return TriangularInit(n, tuple(map(tuple, gs.first_block)))
+    return TriangularInit(n, gs.first_block.tolist())
 
 
 def reconstruct(sigma):

@@ -111,9 +111,9 @@ def _own(sigma, n, x, alpha):
     alpha entry by entry, each alpha's first nonzero entry positive and,
     by adding 0.0, no zero negative.  Strictly ascending nodes are
     already in that order, and skip the sort."""
-    lead = alpha[np.arange(len(x)), np.argmax(alpha != 0.0, axis=1)]
+    lead = alpha[np.arange(len(x)), (alpha != 0.0).argmax(1)]
     alpha = alpha * np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    if not np.all(x[1:] > x[:-1]):
+    if not (x[1:] > x[:-1]).all():
         order = np.lexsort((*alpha.T[::-1], x))
         x, alpha = x[order], alpha[order]
     x, alpha = x + 0.0, alpha + 0.0
@@ -152,7 +152,7 @@ def eig_symmetric(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("expected a square matrix, got %r" % (M.shape,))
-    if not np.array_equal(M, M.T):  # exactly symmetric needs no skew
+    if not (M == M.T).all():  # exactly symmetric needs no skew
         scale = max(1.0, float(np.max(np.abs(M))))
         skew = float(np.max(np.abs(M - M.T)))
         if skew > SYMMETRY_TOL * scale:
@@ -218,10 +218,10 @@ def transform_spectral_function(sigma, T):
     # one single-vector solve per jump, stacked; a multi-column solve
     # would round differently
     alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
-    bad = np.flatnonzero(~np.all(np.isfinite(alpha), axis=1))
-    if len(bad):
+    if not np.isfinite(alpha).all():
+        k = int(np.isfinite(alpha).all(1).argmin())
         raise WeightOverflow("jump %d at x=%r: (T^t)^-1 alpha is not finite"
-                             % (bad[0] + 1, float(sigma.x[bad[0]])))
+                             % (k + 1, float(sigma.x[k])))
     return _own(object.__new__(SpectralFunction), sigma.n, sigma.x, alpha)
 
 
@@ -239,7 +239,7 @@ def merged_jump_matrices(sigma):
     """
     x, alpha = sigma.x, sigma.alpha
     M = alpha[:, :, None] * alpha[:, None, :]
-    if not np.any(x[1:] - x[:-1] <= NODE_MERGE_TOL * (1.0 + np.abs(x[:-1]))):
+    if not (x[1:] - x[:-1] <= NODE_MERGE_TOL * (1.0 + np.abs(x[:-1]))).any():
         return list(zip(x.tolist(), M))
     groups = []
     for xk, Mk in zip(x.tolist(), M):
@@ -263,9 +263,9 @@ def validate_sigma(sigma):
     DeadComponent
         Some component index never receives a nonzero coefficient.
     RankSumMismatch
-        Some coefficient is NaN or infinite, or the ranks of the merged
-        per-node jump matrices do not sum to the number of jumps (rank
-        decided by eigenvalues above RANK_TOL * largest).
+        Some node or coefficient is NaN or infinite, or the ranks of the
+        merged per-node jump matrices do not sum to the number of jumps
+        (rank decided by eigenvalues above RANK_TOL * largest).
 
     A nonzero, finite jump alone at its node is the rank-one matrix
     alpha alpha^t, so eigenvalues are computed only when nodes merge.
@@ -276,26 +276,25 @@ def validate_sigma(sigma):
     if sigma.__dict__.get("_admissible"):
         return
     x, alpha = sigma.x, sigma.alpha
-    zero = np.flatnonzero(np.all(alpha == 0.0, axis=1))
-    if len(zero):
+    zero = alpha == 0.0
+    if zero.all(1).any():
         raise ZeroJump("jump at x=%r has a zero coefficient vector"
-                       % float(x[zero[0]]))
-    dead = np.flatnonzero(np.all(alpha == 0.0, axis=0))
-    if len(dead):
-        raise DeadComponent(
-            "component %d has zero coefficient at every node" % (dead[0] + 1)
-        )
-    bad = np.flatnonzero(~np.all(np.isfinite(alpha), axis=1))
-    if len(bad):
+                       % float(x[zero.all(1).argmax()]))
+    if zero.all(0).any():
+        raise DeadComponent("component %d has zero coefficient at every node"
+                            % (zero.all(0).argmax() + 1))
+    if not np.isfinite(alpha).all():
         raise RankSumMismatch("jump at x=%r has a non-finite coefficient vector"
-                              % float(x[bad[0]]))
+                              % float(x[~np.isfinite(alpha).all(1)][0]))
+    if not np.isfinite(x).all():
+        raise RankSumMismatch("jump at x=%r has a non-finite node"
+                              % float(x[~np.isfinite(x)][0]))
     groups = merged_jump_matrices(sigma)
     total = sigma.N
     if len(groups) < sigma.N:
-        # equal infinite or NaN nodes never merge: each starts a group
-        k = np.arange(len(groups))
-        start = k + np.maximum.accumulate(np.searchsorted(x, [g for g, _ in groups]) - k)
-        e = np.frexp(np.maximum.reduceat(np.max(np.abs(alpha), axis=1), start))[1]
+        # equal finite nodes always merge: each group starts at its node
+        start = np.searchsorted(x, [g for g, _ in groups])
+        e = np.frexp(np.maximum.reduceat(np.abs(alpha).max(1), start))[1]
         alpha = np.ldexp(alpha, -np.repeat(e, np.diff(start, append=sigma.N))[:, None])
         evals = np.linalg.eigvalsh(
             np.add.reduceat(alpha[:, :, None] * alpha[:, None, :], start))

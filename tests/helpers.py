@@ -22,6 +22,13 @@ same error with the same message, or return the same profile.
 ref_gram_schmidt is gram_schmidt written with one _project call per
 height; gram_schmidt must agree with it bit for bit, refusals included.
 
+ref_eig_symmetric, ref_own, ref_transform_spectral_function,
+ref_matrix_from_basis and ref_initial_conditions are the earlier
+bodies of the round trip's stages outside the band-Lanczos loop and
+eigh, before their numpy calls were cut: np.array_equal, np.triu and
+one array per diagonal, among others.  The stages must agree with them
+bit for bit, refusals included, class and message.
+
 ref_replay runs one of the conditioning gate's perturbed copies on its
 own, with every decision pinned to the input's heights, and
 ref_gate_cond takes the gate's condition estimate over those lone
@@ -44,27 +51,34 @@ import numpy as np
 import bandspec as bs
 from bandspec.errors import (
     AmbiguousNorm,
+    BandViolation,
     DeadComponent,
     DimensionMismatch,
     InnermostDegeneration,
     IterationCapExceeded,
     LeadingZero,
     NegativeConstrainedEntry,
+    NoConvergence,
     NonContiguousPositiveRun,
+    NotSymmetric,
+    NotTriangular,
     RankSumMismatch,
     ValidationError,
+    WeightOverflow,
     ZeroJump,
 )
 from bandspec.reconstruct import (
+    BAND_TOL,
     DEFLATION_TOL,
     GATE_REPLAYS,
     GATE_STEP,
     Orthogonalization,
     _perturbations,
+    height_degeneration_indices,
 )
 from bandspec import vecpoly
 from bandspec.vecpoly import linear_combine
-from bandspec.spectral import NODE_MERGE_TOL, RANK_TOL
+from bandspec.spectral import NODE_MERGE_TOL, RANK_TOL, SYMMETRY_TOL
 
 
 def stieltjes_jacobi(nodes, weights):
@@ -209,7 +223,8 @@ def ref_validate_sigma(n, jumps):
     one jump, one component and one group at a time.  Each run of
     merged nodes is decided by one eigvalsh call on the sum of its
     vectors scaled by 2**-e, 2**e being just above their largest
-    entry; a NaN or infinite coefficient has no rank."""
+    entry; a NaN or infinite coefficient has no rank, and a NaN or
+    infinite node is no point of the real line."""
     for _, alpha in jumps:
         if all(a == 0.0 for a in alpha):
             return ZeroJump
@@ -219,6 +234,8 @@ def ref_validate_sigma(n, jumps):
     for _, alpha in jumps:
         if not all(math.isfinite(a) for a in alpha):
             return RankSumMismatch
+    if not all(math.isfinite(x) for x, _ in jumps):
+        return RankSumMismatch
     groups = []  # the vectors of each run of merged nodes
     for x, alpha in jumps:
         if groups and x - groups[-1][0] <= NODE_MERGE_TOL * (1.0 + abs(groups[-1][0])):
@@ -232,6 +249,103 @@ def ref_validate_sigma(n, jumps):
             n, [(x, [math.ldexp(a, -e) for a in v]) for v in vectors]))
         total += int(np.count_nonzero(evals > RANK_TOL * evals[-1]))
     return None if total == len(jumps) else RankSumMismatch
+
+
+def ref_own(sigma, n, x, alpha):
+    """spectral._own before its numpy calls were cut."""
+    lead = alpha[np.arange(len(x)), np.argmax(alpha != 0.0, axis=1)]
+    alpha = alpha * np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    if not np.all(x[1:] > x[:-1]):
+        order = np.lexsort((*alpha.T[::-1], x))
+        x, alpha = x[order], alpha[order]
+    x, alpha = x + 0.0, alpha + 0.0
+    x.flags.writeable = alpha.flags.writeable = False
+    sigma.__dict__.update(n=n, x=x, alpha=alpha)
+    return sigma
+
+
+def ref_eig_symmetric(M):
+    """eig_symmetric before its numpy calls were cut."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch("expected a square matrix, got %r" % (M.shape,))
+    if not np.array_equal(M, M.T):  # exactly symmetric needs no skew
+        scale = max(1.0, float(np.max(np.abs(M))))
+        skew = float(np.max(np.abs(M - M.T)))
+        if skew > SYMMETRY_TOL * scale:
+            raise NotSymmetric(
+                "matrix is not symmetric: max |M - M^t| = %r" % skew
+            )
+    try:
+        values, vectors = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("eigensolver did not converge: %s" % exc) from exc
+    values.flags.writeable = False
+    vectors.flags.writeable = False
+    return bs.EigenDecomposition(values, vectors)
+
+
+def ref_transform_spectral_function(sigma, T):
+    """transform_spectral_function before its numpy calls were cut,
+    storing through ref_own."""
+    if T.n != sigma.n:
+        raise DimensionMismatch(
+            "initial values have size %d, spectral function has %d"
+            % (T.n, sigma.n)
+        )
+    alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
+    bad = np.flatnonzero(~np.all(np.isfinite(alpha), axis=1))
+    if len(bad):
+        raise WeightOverflow("jump %d at x=%r: (T^t)^-1 alpha is not finite"
+                             % (bad[0] + 1, float(sigma.x[bad[0]])))
+    return ref_own(object.__new__(bs.SpectralFunction), sigma.n, sigma.x, alpha)
+
+
+def ref_matrix_from_basis(sigma, gs):
+    """matrix_from_basis before its numpy calls were cut: np.triu for
+    the leak, one array per diagonal."""
+    n, N = sigma.n, len(gs.values)
+    y = (sigma.x - gs.node_center) / gs.node_scale
+    V = gs.values
+    C = (V * y) @ V.T
+    C = 0.5 * (C + C.T)
+
+    leak = np.abs(np.triu(C, n + 1))  # C is exactly symmetric
+    k, l = np.unravel_index(np.argmax(leak), leak.shape)
+    if leak[k, l] > BAND_TOL:
+        raise BandViolation(
+            "inner product at offset %d, position %d is %r, beyond the "
+            "declared bandwidth" % (l - k, k + 1, float(C[k, l]))
+        )
+
+    m = height_degeneration_indices(gs)
+    diags = [np.diagonal(C, g).copy() for g in range(n + 1)]
+    for g in range(1, n + 1):
+        cut = diags[g][m[n - g] - 1:]  # from m_{n-g+1}, 1-based
+        cut[np.abs(cut) <= BAND_TOL] = 0.0
+    s, c = gs.node_scale, gs.node_center
+    diags = [s * diags[0] + c] + [s * d for d in diags[1:]]
+    return bs.BandMatrix(n, N, tuple(tuple(d.tolist()) for d in diags))
+
+
+def ref_initial_conditions(gs):
+    """initial_conditions before its numpy calls were cut."""
+    n = len(gs.first_block)
+    for j, h in enumerate(gs.basis_heights[:n]):
+        if h >= n:
+            raise NotTriangular(
+                "basis member %d is not constant (height %d); the "
+                "input cannot come from an admissible matrix" % (j + 1, h)
+            )
+    return bs.TriangularInit(n, tuple(map(tuple, gs.first_block)))
+
+
+def outcome(run, *args):
+    """What run(*args) returns, or the class and message it raises."""
+    try:
+        return run(*args)
+    except bs.errors.BandSpecError as exc:
+        return type(exc), str(exc)
 
 
 def overflowing_sigma():

@@ -190,6 +190,16 @@ def test_triangular_init_checks():
         bs.TriangularInit(2, ((1.0, 2.0), (0.0, 0.0)))
 
 
+@pytest.mark.parametrize("d", [-1.0, -0.0, float("nan"), -float("inf")])
+def test_triangular_init_refuses_non_positive_diagonal(d):
+    # the inverse returns initial values with a positive diagonal only,
+    # so no other T could round-trip
+    with pytest.raises(NotTriangular, match=r"^diagonal entry 1 = %r is not positive$" % d):
+        bs.TriangularInit(2, ((d, 0.3), (0.0, 1.0)))
+    with pytest.raises(NotTriangular, match=r"^diagonal entry 2 = %r is not positive$" % d):
+        bs.TriangularInit(2, ((1.0, 0.3), (0.0, d)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_random_profile_roundtrip(data):

@@ -131,6 +131,19 @@ def test_direct_refuses_overflowing_transformed_weight(tmp_path, capsys):
     assert captured.err.startswith("error: WeightOverflow: jump 1 at x=")
 
 
+def test_direct_refuses_negative_tinit_diagonal(tmp_path, capsys):
+    # with T = [[-1, 0.3], [0, 1]] the inverse would answer with T's
+    # first row negated and A's first off-diagonal sign flipped: a valid
+    # pair for the same sigma, but not the user's
+    A = bs.sampling.random_band_matrix(np.random.default_rng(4), 2, 8)
+    mfile = write(tmp_path, "m.json", fileio.dump_matrix(A))
+    tfile = write(tmp_path, "t.json", '{"n": 2, "rows": [[-1.0, 0.3], [0.0, 1.0]]}')
+    assert main(["direct", mfile, "--tinit", tfile]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NotTriangular: diagonal entry 1 = -1.0 is not positive" in captured.err
+
+
 @pytest.mark.parametrize("alpha", [(1e-170, 0.0), (1e-170, 1e-170), (1e154, 1e154),
                                    (1e160, 0.0)])
 def test_inverse_refuses_extreme_admissible_jump_numerically(tmp_path, capsys, alpha):

@@ -565,3 +565,62 @@ def test_initial_conditions_refuses_nonconstant_first_block():
     shifted = tuple(h + 1 if h else h for h in gs.basis_heights)
     with pytest.raises(NotTriangular, match="basis member 2 is not constant"):
         bs.initial_conditions(dataclasses.replace(gs, basis_heights=shifted))
+
+
+def _stage_outcome(run, *args):
+    got = helpers.outcome(run, *args)
+    if isinstance(got, tuple):
+        return got
+    return helpers.bits(got.diags if isinstance(got, bs.BandMatrix) else got.rows)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_inverse_stages_match_references(data):
+    """matrix_from_basis and initial_conditions give, bit for bit, what
+    their earlier bodies in helpers give, or the same refusal class and
+    message: on gram_schmidt's output for n <= 8, N <= 64 and random
+    initial values on half the draws, with one basis row sometimes
+    mixed into another (an out-of-band leak, or one below BAND_TOL that
+    the cut snaps) or the heights shifted (inconsistent heights)."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    try:
+        sig = bs.canonical_spectral_function(bs.sampling.random_band_matrix(rng, n, N, j0=j0))
+        if data.draw(st.booleans()):
+            sig = bs.transform_spectral_function(sig, bs.sampling.random_tinit(rng, n))
+        gs = bs.gram_schmidt(sig)
+    except NumericalDecisionError:
+        return
+    change = data.draw(st.sampled_from([None, "mix", "heights"]))
+    if change == "mix":
+        V = np.array(gs.values)
+        k, l = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+        V[k] += data.draw(st.sampled_from([1e-12, 1e-9, 1e-3])) * V[l]
+        gs = dataclasses.replace(gs, values=V)
+    elif change == "heights":
+        gs = dataclasses.replace(gs, basis_heights=tuple(h + 1 for h in gs.basis_heights))
+    assert (_stage_outcome(bs.matrix_from_basis, sig, gs)
+            == _stage_outcome(helpers.ref_matrix_from_basis, sig, gs))
+    assert (_stage_outcome(bs.initial_conditions, gs)
+            == _stage_outcome(helpers.ref_initial_conditions, gs))
+
+
+def test_band_violation_names_first_of_tied_leaks():
+    # rows built so that C = V V^t (all y = 1) has out-of-band entries
+    # 0.5 at (0, 4), -0.5 at (1, 3) and 0.5 at (2, 4): the message names
+    # the first largest |entry| in row-major order, (0, 4), where a
+    # column-major scan would name (1, 3) and a last-maximum scan (2, 4)
+    V = np.eye(5)
+    V[3, 1] = -0.5
+    V[4, 0] = V[4, 2] = 0.5
+    sig = bs.SpectralFunction(1, [(1.0, (1.0,))] * 5)
+    gs = bs.Orthogonalization(
+        basis_heights=tuple(range(5)), generator_heights=(5,), iterations=6,
+        node_scale=1.0, node_center=0.0, values=V, first_block=np.eye(1), cond=0.0)
+    want = (BandViolation, "inner product at offset 4, position 1 is 0.5, beyond the "
+            "declared bandwidth")
+    assert helpers.outcome(bs.matrix_from_basis, sig, gs) == want
+    assert helpers.outcome(helpers.ref_matrix_from_basis, sig, gs) == want

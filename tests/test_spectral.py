@@ -236,12 +236,49 @@ def test_validate_sigma_refuses_non_finite_coefficient(bad, merged):
 
 
 def test_validate_sigma_keeps_equal_infinite_nodes_apart():
-    # inf - inf is NaN, so equal infinite nodes never merge: the group
-    # at 0 has rank 2 and each node at inf rank 1
+    # inf - inf is NaN, so equal infinite nodes never merge; but a node
+    # at infinity is no point of the real line, and the ranks are not
+    # weighed at all
     sig = bs.SpectralFunction(2, [(0.0, (1.0, 0.0)), (0.0, (0.0, 1.0)),
                                   (math.inf, (0.6, 0.8)), (math.inf, (0.8, -0.6))])
     assert len(bs.merged_jump_matrices(sig)) == 3
-    bs.validate_sigma(sig)
+    with pytest.raises(RankSumMismatch, match=r"^jump at x=inf has a non-finite node$"):
+        bs.validate_sigma(sig)
+    assert "_admissible" not in sig.__dict__
+    assert helpers.ref_validate_sigma(2, sig.jumps) is RankSumMismatch
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("merged", [False, True])
+def test_validate_sigma_refuses_non_finite_node(bad, merged):
+    # the jump at the bad node alone has rank 1, and the rest add up
+    sig = bs.SpectralFunction(2, [(0.0, (1.0, 0.0)), (0.0 if merged else 0.5, (0.0, 1.0)),
+                                  (bad, (0.6, 0.8))])
+    with pytest.raises(RankSumMismatch, match=r"^jump at x=%r has a non-finite node$" % bad):
+        bs.validate_sigma(sig)
+    assert helpers.ref_validate_sigma(2, sig.jumps) is RankSumMismatch
+
+
+def test_validate_sigma_message_order():
+    """A sigma with a zero jump, a dead component, non-finite entries and
+    a non-finite node at once is refused for the zero jump; mending each
+    offender in turn brings out the next check, which names its first
+    offender in storage order."""
+    inf = math.inf
+    rest = [(3.0, (-inf, 0.0)), (1.0, (inf, 0.0)), (inf, (1.0, 0.0)), (2.0, (1.0, 0.0))]
+    alive = [(4.0, (0.0, 1.0))]
+    finite = [(3.0, (0.5, 0.0)), (1.0, (1.0, 0.0))] + rest[2:]
+    got = []
+    for jumps in ([(0.0, (0.0, 0.0))] + rest, rest, rest + alive, finite + alive):
+        with pytest.raises(ValidationError) as info:
+            bs.validate_sigma(bs.SpectralFunction(2, jumps))
+        got.append((type(info.value), str(info.value)))
+    assert got == [
+        (ZeroJump, "jump at x=0.0 has a zero coefficient vector"),
+        (DeadComponent, "component 2 has zero coefficient at every node"),
+        (RankSumMismatch, "jump at x=1.0 has a non-finite coefficient vector"),
+        (RankSumMismatch, "jump at x=inf has a non-finite node"),
+    ]
 
 
 @settings(deadline=None, max_examples=100)
@@ -560,3 +597,81 @@ def test_array_storage_matches_per_jump_reference(data):
         n, [(jumps[k].x, tuple(s * a for a in jumps[k].alpha))
             for k, s in zip(order, signs)])
     assert helpers.bits(shuffled.jumps) == helpers.bits(sig.jumps)
+
+
+def _eig_outcome(eig, M):
+    got = helpers.outcome(eig, M)
+    if isinstance(got, tuple):
+        return got
+    return got.values.tobytes(), got.vectors.tobytes(), got.values.flags.writeable
+
+
+def _sigma_outcome(run, *args):
+    got = helpers.outcome(run, *args)
+    if isinstance(got, tuple):
+        return got
+    return got.n, got.x.tobytes(), got.alpha.tobytes(), got.alpha.shape
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_direct_stages_match_references(data):
+    """eig_symmetric, _own and transform_spectral_function give, as
+    bytes, what their earlier bodies in helpers give, or the same
+    refusal class and message: on band matrices with n <= 8, N <= 64,
+    made asymmetric within or beyond the tolerance or given a NaN or
+    infinite entry; on their eigenpairs with rows negated, zeroed or
+    reordered; and, on half the draws, on random initial values with
+    one diagonal entry small enough to overflow at one jump or all."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
+    M = bs.to_dense(A)
+    i, j = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    M[i, j] += data.draw(st.sampled_from([0.0, 1e-12, 1e-3, math.nan, math.inf]))
+    assert _eig_outcome(bs.eig_symmetric, M) == _eig_outcome(helpers.ref_eig_symmetric, M)
+
+    dec = np.linalg.eigh(bs.to_dense(A))
+    x, alpha = dec.eigenvalues.copy(), dec.eigenvectors[:n].T.copy()
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, N - 1))
+        alpha[k] *= data.draw(st.sampled_from([-1.0, 0.0, -0.0]))
+    if data.draw(st.booleans()):
+        order = data.draw(st.permutations(range(N)))
+        x, alpha = x[order], alpha[order]
+        x[data.draw(st.integers(0, N - 1))] = x[0]  # an exact tie
+    sig = _sigma_outcome(spectral._own, object.__new__(bs.SpectralFunction), n, x, alpha)
+    assert sig == _sigma_outcome(helpers.ref_own, object.__new__(bs.SpectralFunction),
+                                 n, x, alpha)
+
+    if data.draw(st.booleans()):
+        sigma = bs.canonical_spectral_function(A)
+        T = bs.sampling.random_tinit(rng, n)
+        if data.draw(st.booleans()):
+            # one jump scaled up and one diagonal entry down, so that
+            # (T^t)^-1 alpha overflows at that jump, or at every jump
+            k, i = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, n - 1))
+            sigma = bs.SpectralFunction(n, [(x, tuple(a * (1e300 if l == k else 1.0) for a in v))
+                                            for l, (x, v) in enumerate(sigma.jumps)])
+            rows = [list(r) for r in T.rows]
+            rows[i][i] = data.draw(st.sampled_from([1e-10, 1e-320]))
+            T = bs.TriangularInit(n, rows)
+        assert (_sigma_outcome(bs.transform_spectral_function, sigma, T)
+                == _sigma_outcome(helpers.ref_transform_spectral_function, sigma, T))
+
+
+@pytest.mark.parametrize("entries", [
+    [(0, 0, math.nan)], [(0, 1, math.nan)], [(0, 1, math.nan), (1, 0, math.nan)],
+    [(2, 1, math.inf)], [(1, 1, -math.inf)], [(0, 2, math.nan), (2, 2, math.inf)],
+])
+def test_eig_symmetric_non_finite_entries_match_reference(entries):
+    # NaN and inf entries, on the diagonal or off it, on one side or
+    # both, take the same path through the symmetry test as before
+    M = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    for i, j, v in entries:
+        M[i, j] = v
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _eig_outcome(bs.eig_symmetric, M) == _eig_outcome(helpers.ref_eig_symmetric, M)
