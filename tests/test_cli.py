@@ -1,15 +1,20 @@
 """Command-line interface: formats, exit codes, and output contracts."""
 
+import dataclasses
+import gc
+import importlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bandspec as bs
-from bandspec import fileio
+from bandspec import cli, fileio
 from bandspec.cli import main
 
 import helpers
@@ -393,3 +398,122 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "m = [3, 5, 7], j0 = 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "nan", "--perturb", "1e-3"],
+    ["--tol", "-1"],
+    ["--tol", "inf"],
+    ["--tol", "abc"],
+    ["--perturb", "nan"],
+    ["--perturb", "inf"],
+    ["--perturb=-inf"],
+], ids=" ".join)
+def test_roundtrip_refuses_non_finite_or_negative_options(tmp_path, capsys, argv):
+    # a bad --tol or --perturb is a usage error, not a class violation
+    path = write(tmp_path, "m37.json", fileio.dump_matrix(seven_by_seven()))
+    assert main(["roundtrip", path] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument %s: " % argv[0].split("=")[0] in captured.err
+
+
+@pytest.mark.parametrize("where", ["matrix", "tinit"])
+def test_roundtrip_fails_on_nan_deviation(tmp_path, capsys, monkeypatch, where):
+    # Python's max(0.0, nan) is 0.0: a NaN in the answer must not pass
+    def with_nan(sigma):
+        rec = bs.reconstruct(sigma)
+        if where == "matrix":
+            diags = (rec.matrix.diags[0],) + ((math.nan,) + rec.matrix.diags[1][1:],) \
+                + rec.matrix.diags[2:]
+            return dataclasses.replace(rec, matrix=bs.BandMatrix(rec.matrix.n, rec.matrix.N,
+                                                                   diags))
+        rows = ((rec.tinit.rows[0][0], math.nan) + rec.tinit.rows[0][2:],) + rec.tinit.rows[1:]
+        return dataclasses.replace(rec, tinit=bs.TriangularInit(rec.tinit.n, rows))
+
+    monkeypatch.setattr(cli, "reconstruct", with_nan)
+    path = write(tmp_path, "m37.json", fileio.dump_matrix(seven_by_seven()))
+    assert main(["roundtrip", path]) == 2
+    captured = capsys.readouterr()
+    line = "max %s deviation%s = nan" % (
+        ("matrix", "") if where == "matrix" else ("initial-value", " from identity"))
+    assert line in captured.out.splitlines()
+    assert "round trip OK" not in captured.out
+    assert "exceeds tol" in captured.err
+
+
+def entry_inputs(directory):
+    """Write the input files of the entry-parity cases into ``directory``."""
+    A = seven_by_seven()
+    r = 1.0 / math.sqrt(2.0)
+    docs = {
+        "m37.json": fileio.dump_matrix(A),
+        "sigma.json": fileio.dump_sigma(bs.canonical_spectral_function(A)),
+        "t.json": fileio.dump_tinit(bs.sampling.random_tinit(np.random.default_rng(8), 3)),
+        "five.json": fileio.dump_chain(bs.SpringChain((1.0,) * 5, (1.0,) * 6, (1.0,) * 5)),
+        "lead.json": fileio.dump_matrix(
+            bs.BandMatrix(2, 5, ((0.0,) * 5, (0.5,) * 4, (0.0, 1.0, 1.0)))),
+        "ambiguous.json": fileio.dump_sigma(
+            bs.SpectralFunction(1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])),
+    }
+    for name, text in docs.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "m37.json"], 0),
+    (["direct", "m37.json", "-o", "s.json"], 0),
+    (["direct", "m37.json", "--tinit", "t.json", "-o", "st.json"], 0),
+    (["inverse", "sigma.json", "-o", "back.json", "--tinit-out", "tout.json"], 0),
+    (["spring", "five.json", "--cf-check", "--frequencies"], 0),
+    (["roundtrip", "m37.json"], 0),
+    (["inverse", "sigma.json", "--tol-zero", "1e-10"], 1),
+    (["validate", "lead.json"], 2),
+    (["inverse", "ambiguous.json", "-o", "none.json"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_process_entry_matches_main(tmp_path, capsys, monkeypatch, argv, code):
+    # the process entry adds nothing to main's output and loses none of it
+    src = str(Path(bs.__file__).resolve().parents[1])
+    sub, inproc = tmp_path / "sub", tmp_path / "inproc"
+    for directory in (sub, inproc):
+        directory.mkdir()
+        entry_inputs(directory)
+    proc = subprocess.run([sys.executable, "-m", "bandspec"] + argv, cwd=sub,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+
+    monkeypatch.chdir(inproc)
+    gc_state = (gc.get_freeze_count(), gc.isenabled())
+    got = main(argv)
+    assert (gc.get_freeze_count(), gc.isenabled()) == gc_state
+    captured = capsys.readouterr()
+    assert got == code
+    assert proc.returncode == code
+    assert proc.stdout.decode("utf-8") == captured.out
+    assert proc.stderr.decode("utf-8") == captured.err
+    assert file_bytes(sub) == file_bytes(inproc)
+
+
+@pytest.mark.parametrize("name, code", [("m37.json", 0), ("lead.json", 2)])
+def test_run_exits_with_main_code_and_frozen_collector(tmp_path, capsys, monkeypatch,
+                                                       name, code):
+    entry_inputs(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bandspec", "validate", str(tmp_path / name)])
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.run()
+        assert info.value.code == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(bs.__file__).resolve().parents[2] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["bandspec"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
