@@ -20,11 +20,22 @@ Grid, drawn from seed 0: n in 1..8, N in {8, 16, 32, 48, 64} (N > n),
 every feasible number j0 of genuine cuts, each instance with identity
 and with random initial values.  That is 332 cases.
 
-After the grid come 36 direct-side cases: hand-built spectral
-functions with exact ties, near-tie chains, underflowing and
-overflowing weights, lone and merged at one node, a non-finite entry,
-a pair of equal infinite nodes, a NaN node, a zero jump, a dead
-component and a rank deficit.
+After the grid come 19 inverse cases off it, with the same fields.
+For n in {2, 3, 5} and N in {8, 16, 32}, one generator seeded by (0,
+5, n, N) draws sorted normal nodes, random coefficient vectors at them
+(a matrix without cuts under random initial values, which `reconstruct`
+returns), then vectors in an (n-1)-dimensional subspace at the same
+nodes: their jump sum is singular, so they pass `validate_sigma` but
+lie outside the class, and `reconstruct` refuses them.  The last is
+the spectral function of a matrix (n = 1, N = 3) with entries of
++-1e308, whose nodes lie near the float limit.  That makes 431 cases
+in all.
+
+Then come 36 direct-side cases: hand-built spectral functions with
+exact ties, near-tie chains, underflowing and overflowing weights,
+lone and merged at one node, a non-finite entry, a pair of equal
+infinite nodes, a NaN node, a zero jump, a dead component and a rank
+deficit.
 For each one the file holds the groups of `merged_jump_matrices` (node
 and matrix in hex) and the `validate_sigma` verdict and message.
 
@@ -83,17 +94,27 @@ def fingerprint(key):
         if with_t:
             sigma = bs.transform_spectral_function(
                 sigma, bs.sampling.random_tinit(rng, n))
-        row["sigma"] = [hexes([j.x for j in sigma.jumps]),
-                        hexes([j.alpha for j in sigma.jumps])]
+    except bs.errors.BandSpecError as exc:
+        row["refusal"] = type(exc).__name__
+        row["message"] = str(exc)
+        return row
+    return inverse_fingerprint(row, sigma)
+
+
+def inverse_fingerprint(row, sigma):
+    """row with sigma and every output field of reconstruct(sigma), or its
+    refusal and, if the orthogonalization completes, its cond."""
+    row["sigma"] = [hexes([j.x for j in sigma.jumps]),
+                    hexes([j.alpha for j in sigma.jumps])]
+    try:
         rec = bs.reconstruct(sigma)
     except bs.errors.BandSpecError as exc:
         row["refusal"] = type(exc).__name__
         row["message"] = str(exc)
-        if "sigma" in row:
-            try:
-                row["cond"] = float(bs.gram_schmidt(sigma).cond).hex()
-            except bs.errors.BandSpecError:
-                pass
+        try:
+            row["cond"] = float(bs.gram_schmidt(sigma).cond).hex()
+        except bs.errors.BandSpecError:
+            pass
         return row
     gs = rec.diagnostics
     row.update(
@@ -107,6 +128,23 @@ def fingerprint(key):
         values=hexes(gs.values),
     )
     return row
+
+
+def off_grid_cases():
+    """Random coefficient vectors at distinct nodes, vectors in an
+    (n-1)-dimensional subspace at the same nodes, then the spectral
+    function of a matrix with entries of +-1e308."""
+    for n in (2, 3, 5):
+        for N in (8, 16, 32):
+            rng = np.random.default_rng((SEED, 5, n, N))
+            x = np.sort(rng.standard_normal(N))
+            yield ("random vectors n=%d N=%d" % (n, N),
+                   bs.SpectralFunction(n, zip(x, rng.standard_normal((N, n)))))
+            alpha = rng.standard_normal((N, n - 1)) @ rng.standard_normal((n - 1, n))
+            yield ("vectors in a subspace n=%d N=%d" % (n, N),
+                   bs.SpectralFunction(n, zip(x, alpha)))
+    A = bs.BandMatrix(1, 3, ((1e308, -1e308, 1e308), (1e308, 1e308)))
+    yield "entries +-1e308 n=1 N=3", bs.canonical_spectral_function(A)
 
 
 def chain(x, factors):
@@ -225,6 +263,9 @@ def write(path):
     with open(path, "w", encoding="utf-8") as fh:
         for key in cases():
             fh.write(json.dumps(fingerprint(key), sort_keys=True) + "\n")
+        for name, sigma in off_grid_cases():
+            row = inverse_fingerprint({"case": "inverse: " + name}, sigma)
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
         for name, jumps in direct_cases():
             fh.write(json.dumps(direct_fingerprint(name, jumps), sort_keys=True) + "\n")
         for row in sampler_rows():

@@ -371,6 +371,4 @@ def rank_defect(table, z):
             mass = max(mass, sum(abs(v) * base ** d for d, v in enumerate(c)))
     svals = np.linalg.svd(M, compute_uv=False)
     thresh = RANK_DEFECT_TOL * max(float(svals[0]), mass)
-    if thresh == 0.0:
-        return table.n
     return table.n - int(np.count_nonzero(svals > thresh))

@@ -116,10 +116,8 @@ def cmd_spring(args):
     chain = fileio.read_file(args.chain_file, "chain")
     _check_caps(2, chain.N)
     A = build_spring_matrix(chain)
-    did_something = False
     if args.matrix:
         _emit(fileio.dump_matrix(A), args.output)
-        did_something = True
     if args.cf_check:
         interior = range(2, chain.N - 1)
         if len(interior) == 0:
@@ -127,8 +125,7 @@ def cmd_spring(args):
         for j in interior:
             residual = continued_fraction_check(chain, j)
             print("j = %d: residual = %r" % (j, residual))
-        did_something = True
-    if args.frequencies or not did_something:
+    if args.frequencies or not (args.matrix or args.cf_check):
         print(", ".join(repr(w) for w in frequencies(A)))
 
 

@@ -146,12 +146,12 @@ def gram_schmidt(sigma):
     the constant e_{h+1}, above that it is y times the basis member at
     height h - n, and a height whose class has died is skipped.  Each
     candidate gets two block Gram-Schmidt passes on the node values;
-    only the first n members become polynomials, for their constants.
-    Each residual norm is compared against tau = DEFLATION_TOL *
-    sqrt(|candidate|^2 + 1): above 10 tau it joins the basis
-    (normalized), below tau / 10 it is a generator of the zero class
-    and its residue mod n dies, and anything in between stops the
-    computation rather than guess.
+    only the first n members become polynomials, for their constants,
+    each when its height is accepted.  Each residual norm is compared
+    against tau = DEFLATION_TOL * sqrt(|candidate|^2 + 1): above 10 tau
+    it joins the basis (normalized), below tau / 10 it is a generator
+    of the zero class and its residue mod n dies, and anything in
+    between stops the computation rather than guess.
 
     The gate's perturbed copies (see the module docstring) are slots
     stacked behind the input's, which alone decides for all of them.
@@ -176,9 +176,9 @@ def gram_schmidt(sigma):
     IterationCapExceeded
         More heights were consumed than any admissible spectral
         function allows (cap n(N-n+1)+1, from the height-sum identity),
-        a candidate survived projection on a full basis, the classes
-        died with fewer than N basis members, or the generator heights
-        violate the height-sum identity.
+        a candidate survived projection on a full basis, or the classes
+        died with fewer than N basis members.  Each class dies once, so
+        N members make the generator heights sum to N n + n(n-1)/2.
     """
     n, N = sigma.n, sigma.N
     if N <= n:
@@ -189,7 +189,7 @@ def gram_schmidt(sigma):
     # slot 0 is the input, slot k > 0 its k-th perturbed copy
     x = np.concatenate((sigma.x[None], sigma.x * (1.0 + GATE_STEP * g)))
     lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
-    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    center, scale = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo  # halves cannot overflow
     if scale[0, 0] == 0.0:
         # a single node carries rank at most n < N, so validated input
         # cannot land here
@@ -198,13 +198,12 @@ def gram_schmidt(sigma):
     alpha = np.concatenate((sigma.alpha[None], sigma.alpha + GATE_STEP * G))
     consts_of = alpha.transpose(2, 0, 1)[:, :, None, :]  # values of e_{h+1}
 
-    total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
     Q = np.zeros((GATE_REPLAYS + 1, N, N))
     Qt = Q.swapaxes(1, 2)  # a view: it sees every row stored later
     F = np.zeros((GATE_REPLAYS + 1, n, n))
     row = {}  # accepted height -> its row of Q
-    gheights, block = [], []
+    gheights, first, consts = [], [], np.zeros((n, n))
     h = -1
     # a copy that breaks down shows as NaN in cond; the input's slot
     # never divides by a norm below 10 tau
@@ -241,12 +240,18 @@ def gram_schmidt(sigma):
                 np.divide(v, nrms, out=Q[:, r, None])
                 if h < n:
                     c = p + q
-                    block.append((h, c[0, 0], nrm))
                     # column h of the initial values: every member so
                     # far is a constant at a lower height
                     col = -(F[:, :, list(row)] @ c.swapaxes(1, 2))[:, :, 0]
                     col[:, h] += 1.0
                     F[:, :, h] = col / nrms[:, 0]
+                    # the input's member: e_{h+1} minus its projections
+                    terms = zip(c[0, 0].tolist(), first)
+                    cand = linear_combine([(1.0, vecpoly.basis_vector(h + 1, n))]
+                                          + [(-ck, f) for ck, f in terms])
+                    # the one-term linear_combine, whose + 0.0 turns -0.0 into 0.0
+                    first.append(vecpoly._canonical(n, (1.0 / nrm) * cand.coef + 0.0))
+                    consts[:h + 1, h] = first[-1].coef
                 row[h] = r
             elif nrm < 0.1 * tau:
                 gheights.append(h)
@@ -255,27 +260,11 @@ def gram_schmidt(sigma):
                     "candidate at height %d has residual norm %r within a "
                     "factor 10 of the zero threshold %r" % (h, nrm, tau)
                 )
-    if len(row) != N:
-        raise IterationCapExceeded(
-            "every residue class died with %d of %d basis members; the "
-            "input is not an admissible spectral function" % (len(row), N)
-        )
-    if sum(gheights) != total_height:
-        raise IterationCapExceeded(
-            "generator heights %r sum to %d, but admissible spectral "
-            "functions require %d"
-            % (tuple(gheights), sum(gheights), total_height)
-        )
-    first, consts = [], np.zeros((n, n))
-    for b, c, nrm in block:
-        # the member at height b < n is e_{b+1} minus its projections on
-        # the lower members, all constants
-        cand = linear_combine([(1.0, vecpoly.basis_vector(b + 1, n))]
-                              + [(-ck, p) for ck, p in zip(c.tolist(), first)])
-        # the one-term linear_combine, whose + 0.0 turns -0.0 into 0.0
-        first.append(vecpoly._canonical(n, (1.0 / nrm) * cand.coef + 0.0))
-        consts[:b + 1, b] = first[-1].coef
-    with np.errstate(all="ignore"):
+        if len(row) != N:
+            raise IterationCapExceeded(
+                "every residue class died with %d of %d basis members; the "
+                "input is not an admissible spectral function" % (len(row), N)
+            )
         A = (Q * y) @ Qt
         A *= scale[:, :, None]
         A.reshape(len(A), -1)[:, ::N + 1] += center  # the diagonals

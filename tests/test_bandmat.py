@@ -313,6 +313,16 @@ def test_rank_defect_simple_and_far():
     assert bs.rank_defect(table, float(evals[-1]) + 3.0) == 0
 
 
+def test_rank_defect_of_vanishing_generators():
+    # every singular value and the coefficient mass are zero, so the
+    # threshold is zero and no singular value exceeds it
+    for n in (1, 2, 3):
+        zero = bs.vec_poly([()] * n)
+        table = bs.RecurrenceTable(basis=(), generators=(zero,) * n)
+        assert bs.rank_defect(table, 0.0) == n
+        assert bs.rank_defect(table, -2.5) == n
+
+
 def interleaved_double_jacobi():
     """Two identical 2x2 Jacobi blocks interleaved into one n=2 member.
 

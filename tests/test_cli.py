@@ -228,6 +228,20 @@ def test_inverse_refuses_overflowing_jump_sum(tmp_path):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+def test_inverse_refuses_nodes_near_the_float_limit_as_numerical(tmp_path):
+    # direct returns nodes near +-1.73e308; the node frame must not
+    # overflow into a class refusal
+    A = bs.BandMatrix(1, 3, ((1e308, -1e308, 1e308), (1e308, 1e308)))
+    matrix = write(tmp_path, "big.json", fileio.dump_matrix(A))
+    sigma = str(tmp_path / "sigma.json")
+    assert main(["direct", matrix, "-o", sigma]) == 0
+    proc = subprocess.run([sys.executable, "-m", "bandspec", "inverse", sigma],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: IllConditioned")
+    assert "RuntimeWarning" not in proc.stderr and "not an admissible" not in proc.stderr
+
+
 def test_inverse_reports_undecidable_residual(tmp_path, capsys):
     r = 1.0 / math.sqrt(2.0)
     sig = bs.SpectralFunction(1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])

@@ -12,6 +12,7 @@ import bandspec as bs
 from bandspec.errors import (
     AmbiguousNorm,
     BandViolation,
+    DimensionMismatch,
     IllConditioned,
     IterationCapExceeded,
     NotTriangular,
@@ -286,6 +287,59 @@ def test_iteration_cap_on_inadmissible_sigma():
     bs.validate_sigma(sig)
     with pytest.raises(IterationCapExceeded):
         bs.gram_schmidt(sig)
+
+
+@st.composite
+def probe_sigmas(draw):
+    """(n, N, sigma) from one of four families, most outside the class:
+    the canonical sigma of a random_band_matrix, random coefficient
+    vectors at distinct nodes, vectors in an (n-1)-dimensional subspace,
+    and random vectors at repeated integer nodes."""
+    family = draw(st.sampled_from(("band", "random", "subspace", "integer")))
+    n = draw(st.integers(min_value=2 if family == "subspace" else 1, max_value=5))
+    N = draw(st.integers(min_value=n + 1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if family == "band":
+        try:
+            return n, N, bs.canonical_spectral_function(
+                bs.sampling.random_band_matrix(rng, n, N))
+        except bs.errors.BandSpecError:
+            return None
+    if family == "integer":
+        x = rng.integers(0, max(2, N // 2), N).astype(float)
+    else:
+        x = np.sort(rng.standard_normal(N))
+    if family == "subspace":
+        alpha = rng.standard_normal((N, n - 1)) @ rng.standard_normal((n - 1, n))
+    else:
+        alpha = rng.standard_normal((N, n))
+    return n, N, bs.SpectralFunction(n, zip(x, alpha))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=probe_sigmas())
+def test_gram_schmidt_returns_satisfy_the_height_sum(case):
+    """Each residue class dies once, so a run that returns has N basis
+    members and generator heights summing to N n + n(n-1)/2, in or out
+    of the class; a cap refusal names the cap, the full basis or the
+    class count."""
+    if case is None:
+        return
+    n, N, sig = case
+    try:
+        gs = bs.gram_schmidt(sig)
+    except IterationCapExceeded as exc:
+        assert any(m in str(exc) for m in (
+            "(cap %d)" % (n * (N - n + 1) + 1), "on a full basis",
+            "every residue class died with")), str(exc)
+        return
+    except DimensionMismatch as exc:
+        assert str(exc) == "all nodes coincide"
+        return
+    except AmbiguousNorm:
+        return
+    assert len(gs.basis_heights) == N
+    assert sum(gs.generator_heights) == N * n + n * (n - 1) // 2
 
 
 def test_ambiguous_norm_trigger():
