@@ -14,7 +14,9 @@ processes and prints the median wall time of each, in milliseconds:
   this script sees the process exit minus the time the child records
   when the entry point raises `SystemExit`. The child runs the real
   entry through `runpy.run_module`, as `python -m` does, so any
-  checkout can be measured.
+  checkout can be measured. At that moment the child also records
+  what the subcommand loaded: the `bandspec` modules (`modules`) and
+  whether `numpy` and `numpy.random` were imported.
 
 Set PYTHONPATH to the `src` directory of the checkout to measure; the
 children import bandspec from the same directory as this script does.
@@ -25,6 +27,7 @@ indent 1):
 """
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -61,8 +64,9 @@ try:
     runpy.run_module("bandspec", run_name="__main__", alter_sys=True)
 except SystemExit:
     t = time.time()
+    loaded = sorted(m for m in sys.modules if m.startswith("bandspec"))
     with open(stamp, "w") as fh:
-        fh.write(repr(t))
+        fh.write(repr([t, loaded, "numpy" in sys.modules, "numpy.random" in sys.modules]))
     raise
 """
 
@@ -87,11 +91,13 @@ def timed(argv, cwd, env):
 
 
 def shutdown(argv, cwd, env):
+    """The shutdown time, and what the process loaded."""
     stamp = cwd / "stamp.txt"
     subprocess.run([sys.executable, "-c", CHILD, str(stamp)] + argv, cwd=cwd,
                    env=env, capture_output=True, timeout=120)
     end = time.time()
-    return end - float(stamp.read_text())
+    t, modules, numpy, numpy_random = ast.literal_eval(stamp.read_text())
+    return end - t, {"modules": modules, "numpy": numpy, "numpy.random": numpy_random}
 
 
 def measure(runs, seed):
@@ -99,7 +105,7 @@ def measure(runs, seed):
     imports = {k: [] for k in IMPORTS}
     totals = {k: [] for k in COMMANDS}
     downs = {k: [] for k in COMMANDS}
-    codes = {}
+    codes, loads = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
         write_inputs(cwd, seed)
@@ -110,7 +116,8 @@ def measure(runs, seed):
                 wall, codes[name] = timed([sys.executable, "-m", "bandspec"] + argv,
                                           cwd, env)
                 totals[name].append(wall)
-                downs[name].append(shutdown(argv, cwd, env))
+                down, loads[name] = shutdown(argv, cwd, env)
+                downs[name].append(down)
 
     def ms(values):
         return round(1e3 * statistics.median(values), 1)
@@ -123,7 +130,7 @@ def measure(runs, seed):
         "imports_ms": {k: ms(v) for k, v in imports.items()},
         "commands": {
             k: {"argv": " ".join(COMMANDS[k]), "exit": codes[k],
-                "total_ms": ms(totals[k]), "shutdown_ms": ms(downs[k])}
+                "total_ms": ms(totals[k]), "shutdown_ms": ms(downs[k]), **loads[k]}
             for k in COMMANDS
         },
     }

@@ -8,18 +8,12 @@ exact zeros; the position of the first zero on each level is a
 degeneration index m_j.  ``validate_band`` infers those indices and
 checks the sign pattern.
 
-``solve_recurrence`` builds, for a member of the class (it validates
-the matrix itself) and an upper triangular matrix of initial values,
-the N recurrence solutions p_k (vector polynomials that are orthonormal
-under the matrix's spectral function) together with the n zero-norm
-generators q_i collected at the degeneration positions.
+Validation needs no numpy: it is imported where a dense array is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -30,11 +24,6 @@ from .errors import (
     NotTriangular,
     ValidationError,
 )
-from . import vecpoly
-from .vecpoly import linear_combine, shift_mul
-
-#: Relative singular-value threshold of rank_defect.
-RANK_DEFECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,28 +127,9 @@ class TriangularInit:
                             for i in range(n)))
 
     def dense(self):
+        import numpy as np
+
         return np.array(self.rows, dtype=float)
-
-
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """Solutions of the three-term-like band recurrence.
-
-    basis holds p_1 .. p_N (each an n-component VecPoly); generators
-    holds the n zero-norm combinations q_1 .. q_n read off at the
-    degeneration positions.
-    """
-
-    basis: tuple
-    generators: tuple
-
-    @property
-    def n(self):
-        return len(self.generators)
-
-    @property
-    def N(self):
-        return len(self.basis)
 
 
 def validate_band(A):
@@ -248,6 +218,8 @@ def validate_band(A):
 
 def to_dense(A):
     """Unpack to a dense symmetric numpy array."""
+    import numpy as np
+
     N = A.N
     M = np.zeros((N, N))
     flat = M.reshape(-1)
@@ -272,103 +244,3 @@ def shrink_band(A):
     if n == A.n:
         return A
     return BandMatrix(n, A.N, A.diags[: n + 1])
-
-
-def solve_recurrence(A, T):
-    """Solve the band recurrence for all N positions.
-
-    The defining equations are the rows of A r(z) = z r(z) read as
-    constraints on vector polynomials: row k expresses the entry with
-    the highest undetermined index through earlier ones, dividing by
-    the positive in-run diagonal entry.  At a degeneration position the
-    would-be pivot is zero, so the row instead yields a zero-norm
-    combination; those n leftovers are the generators.
-
-    The first n solutions are the constant vector polynomials given by
-    the columns of T (solution j has constant component i equal to
-    T[i][j]).
-
-    Parameters
-    ----------
-    A : BandMatrix
-        validate_band(A) supplies the profile; a matrix outside the
-        class raises its error here.
-    T : TriangularInit
-        Initial values; T.n must equal A.n.
-
-    Returns
-    -------
-    RecurrenceTable
-    """
-    profile = validate_band(A)
-    n, N = A.n, A.N
-    if T.n != n:
-        raise DimensionMismatch(
-            "initial values are %d x %d but the matrix has half-bandwidth %d"
-            % (T.n, T.n, n)
-        )
-    cuts = set(profile.m)
-    # columns of T as constant vector polynomials
-    basis = [
-        vecpoly.vec_poly([(T.rows[i][j],) for i in range(n)]) for j in range(n)
-    ]
-    generators = []
-    for k in range(1, N + 1):
-        s = sum(1 for mj in profile.m if mj < k)
-        terms = [(1.0, shift_mul(basis[k - 1])), (-A.entry(0, k), basis[k - 1])]
-        for j in range(1, n + 1):
-            if k - j >= 1:
-                terms.append((-A.entry(j, k - j), basis[k - j - 1]))
-        # forward couplings strictly below the pivot diagonal; at a
-        # degeneration position (s cuts already passed, this is cut
-        # s + 1) the same bound n - s - 1 skips the vanished entries
-        for j in range(1, n - s):
-            terms.append((-A.entry(j, k), basis[k + j - 1]))
-        r = linear_combine(terms)
-        if k in cuts:
-            generators.append(r)
-        else:
-            # m_s < k < m_{s+1}: validate_band found this pivot positive
-            pivot = A.entry(n - s, k)
-            new_index = k + n - s
-            assert new_index == len(basis) + 1, "recurrence lost contiguity"
-            basis.append(linear_combine([(1.0 / pivot, r)]))
-    assert len(basis) == N and len(generators) == n
-    return RecurrenceTable(tuple(basis), tuple(generators))
-
-
-def generator_matrix(table, z):
-    """Evaluate the generators at z, stacked as rows of an n x n array.
-
-    Entry (i, j) is component j of generator i.  The determinant of
-    this matrix vanishes exactly at the eigenvalues of the underlying
-    band matrix.
-    """
-    n = table.n
-    M = np.empty((n, n))
-    for i, q in enumerate(table.generators):
-        M[i, :] = vecpoly.evaluate(q, z)
-    return M
-
-
-def rank_defect(table, z):
-    """n minus the numerical rank of the generator matrix at z.
-
-    Rank is decided by singular values against RANK_DEFECT_TOL times
-    a reference scale.  The reference is the larger of the top singular
-    value and the l1 coefficient mass of the generators evaluated at
-    |z|; the second term matters when the whole matrix vanishes (an
-    eigenvalue whose multiplicity equals n), where any purely relative
-    rule would mistake rounding noise for rank.  At an eigenvalue the defect
-    equals the eigenspace dimension; away from the spectrum it is zero.
-    """
-    M = generator_matrix(table, z)
-    base = max(1.0, abs(z))
-    mass = 0.0
-    for q in table.generators:
-        for c in q.comps:
-            # sum adds left to right, in ascending degree
-            mass = max(mass, sum(abs(v) * base ** d for d, v in enumerate(c)))
-    svals = np.linalg.svd(M, compute_uv=False)
-    thresh = RANK_DEFECT_TOL * max(float(svals[0]), mass)
-    return table.n - int(np.count_nonzero(svals > thresh))

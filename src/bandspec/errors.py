@@ -11,7 +11,7 @@ Three families matter to callers (and to the CLI exit-code mapping):
   made safely, or the answer would not be accurate (ambiguous
   zero-norm test, iteration cap, an ill-conditioned reconstruction,
   vanishing denominator, a spectral weight lost to underflow or
-  overflow).  CLI exit code 3.
+  overflow, a round trip that misses its tolerance).  CLI exit code 3.
 """
 
 
@@ -137,3 +137,9 @@ class WeightOverflow(NumericalDecisionError):
 
 class DivisionByZero(NumericalDecisionError):
     """A denominator in the continued-fraction check vanishes."""
+
+
+class RoundTripDeviation(NumericalDecisionError):
+    """The matrix or the initial values that the inverse recovered from
+    a matrix's spectral function deviate from it by more than the
+    tolerance of ``bandspec roundtrip``."""

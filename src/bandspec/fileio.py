@@ -11,6 +11,9 @@ on output:
 Numbers are written in shortest round-trip decimal form, so writing a
 value and reading it back is bit-exact.  Non-finite numbers, literal or
 overflowing, are rejected on input and never produced on output.
+
+A loader imports the class of its own kind only, so reading a matrix
+or initial values needs no numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ import json
 import math
 
 from .errors import InputError
-from .bandmat import BandMatrix, TriangularInit
-from .spectral import SpectralFunction
-from .springchain import SpringChain
 
 
 def _reject_constant(name):
@@ -68,6 +68,8 @@ def _num_list(doc_name, field, v):
 
 
 def load_matrix(text):
+    from .bandmat import BandMatrix
+
     doc = _loads(text, "matrix")
     n = _int("matrix", "n", _field("matrix", doc, "n"))
     N = _int("matrix", "N", _field("matrix", doc, "N"))
@@ -84,6 +86,8 @@ def dump_matrix(A):
 
 
 def load_sigma(text):
+    from .spectral import SpectralFunction
+
     doc = _loads(text, "sigma")
     n = _int("sigma", "n", _field("sigma", doc, "n"))
     N = _int("sigma", "N", _field("sigma", doc, "N"))
@@ -117,6 +121,8 @@ def dump_sigma(sigma):
 
 
 def load_chain(text):
+    from .springchain import SpringChain
+
     doc = _loads(text, "chain")
     masses = _num_list("chain", "masses", _field("chain", doc, "masses"))
     k = _num_list("chain", "k", _field("chain", doc, "k"))
@@ -130,6 +136,8 @@ def dump_chain(chain):
 
 
 def load_tinit(text):
+    from .bandmat import TriangularInit
+
     doc = _loads(text, "tinit")
     n = _int("tinit", "n", _field("tinit", doc, "n"))
     raw = _field("tinit", doc, "rows")
@@ -150,11 +158,12 @@ _LOADERS = {
     "chain": load_chain,
     "tinit": load_tinit,
 }
+# by class name: writing a value imports no module of another kind
 _DUMPERS = {
-    BandMatrix: dump_matrix,
-    SpectralFunction: dump_sigma,
-    SpringChain: dump_chain,
-    TriangularInit: dump_tinit,
+    "BandMatrix": dump_matrix,
+    "SpectralFunction": dump_sigma,
+    "SpringChain": dump_chain,
+    "TriangularInit": dump_tinit,
 }
 
 
@@ -168,7 +177,7 @@ def read_file(path, kind):
 
 
 def write_file(path, value):
-    text = _DUMPERS[type(value)](value)
+    text = _DUMPERS[type(value).__name__](value)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

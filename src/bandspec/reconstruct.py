@@ -121,11 +121,18 @@ def height_degeneration_indices(gs):
 
     Index m_j is the position k whose basis member satisfies
     h(basis_k) = h(generator_j) - n; a missing position means the
-    orthogonalization output is internally inconsistent.
+    orthogonalization output is internally inconsistent.  A generator
+    below height n is a constant of norm zero: the jump sum, the Gram
+    matrix of the constants, is singular, which no class member gives.
     """
     n = len(gs.generator_heights)
     m = []
     for j, gh in enumerate(gs.generator_heights):
+        if gh < n:
+            raise ProfileMismatch(
+                "generator %d at height %d < n = %d is a constant of norm zero: "
+                "the jump sum is singular" % (j + 1, gh, n)
+            )
         target = gh - n
         try:
             k = gs.basis_heights.index(target)

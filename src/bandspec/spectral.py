@@ -37,7 +37,6 @@ from .errors import (
     WeightUnderflow,
     ZeroJump,
 )
-from . import vecpoly
 from .bandmat import to_dense, validate_band
 
 #: Relative tolerance deciding when two nodes are the same eigenvalue.
@@ -321,6 +320,8 @@ def inner(sigma, r, s):
     order with exactly rounded accumulation, so inner(sigma, r, s) and
     inner(sigma, s, r) are equal bit for bit.
     """
+    from .vecpoly import evaluate
+
     if r.n != sigma.n or s.n != sigma.n:
         raise DimensionMismatch(
             "polynomials with %d and %d components against a spectral "
@@ -328,8 +329,8 @@ def inner(sigma, r, s):
         )
     products = []
     for jump in sigma.jumps:
-        rv = vecpoly.evaluate(r, jump.x)
-        sv = vecpoly.evaluate(s, jump.x)
+        rv = evaluate(r, jump.x)
+        sv = evaluate(s, jump.x)
         vr = math.fsum(a * v for a, v in zip(jump.alpha, rv))
         vs = math.fsum(a * v for a, v in zip(jump.alpha, sv))
         products.append(vr * vs)

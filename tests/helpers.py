@@ -355,6 +355,16 @@ def overflowing_sigma():
         (1.0, (1.0, 0.0, 0.0)), (2.0, (0.0, 1.0, 1.0))])
 
 
+def subspace_sigma():
+    """The fingerprint's "vectors in a subspace n=3 N=8": coefficient
+    vectors in a 2-dimensional subspace, so the jump sum is singular."""
+    rng = np.random.default_rng((0, 5, 3, 8))
+    x = np.sort(rng.standard_normal(8))
+    rng.standard_normal((8, 3))  # the fingerprint's random vectors
+    alpha = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 3))
+    return bs.SpectralFunction(3, zip(x, alpha))
+
+
 def ref_to_dense(A):
     """Dense symmetric array of a band matrix, written entry by entry."""
     M = np.zeros((A.N, A.N))

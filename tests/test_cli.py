@@ -327,11 +327,34 @@ def test_roundtrip_accepts_valid_matrix(tmp_path, capsys):
 
 def test_roundtrip_detects_perturbation(tmp_path, capsys):
     path = flip_file(tmp_path)
-    assert main(["roundtrip", path, "--perturb", "1e-3"]) == 2
+    assert main(["roundtrip", path, "--perturb", "1e-3"]) == 3
     captured = capsys.readouterr()
     dev_line = [l for l in captured.out.splitlines() if "max matrix deviation" in l]
     assert dev_line and float(dev_line[0].split("=")[-1]) > 1e-8
     assert "exceeds tol" in captured.err
+
+
+def test_roundtrip_deviation_is_a_numerical_refusal(tmp_path, capsys):
+    # a class member whose round trip misses the tolerance: a numerical
+    # limit (exit 3), not a class violation (exit 2)
+    A = bs.sampling.random_band_matrix(np.random.default_rng(236), 1, 25, j0=0)
+    path = write(tmp_path, "a.json", fileio.dump_matrix(A))
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["roundtrip", path]) == 3
+    captured = capsys.readouterr()
+    dev_line = [l for l in captured.out.splitlines() if "max matrix deviation" in l]
+    assert dev_line and float(dev_line[0].split("=")[-1]) > 1e-8
+    assert captured.err == ("error: RoundTripDeviation: round trip deviation exceeds "
+                            "tol=1e-08\n")
+
+
+def test_inverse_names_singular_jump_sum(tmp_path, capsys):
+    path = write(tmp_path, "flat.json", fileio.dump_sigma(helpers.subspace_sigma()))
+    assert main(["inverse", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: ProfileMismatch: generator 1 at height 2 < n = 3 is a constant of "
+        "norm zero: the jump sum is singular\n")
 
 
 def test_file_identity_is_bit_exact(tmp_path):
@@ -447,7 +470,7 @@ def test_roundtrip_fails_on_nan_deviation(tmp_path, capsys, monkeypatch, where):
 
     monkeypatch.setattr(cli, "reconstruct", with_nan)
     path = write(tmp_path, "m37.json", fileio.dump_matrix(seven_by_seven()))
-    assert main(["roundtrip", path]) == 2
+    assert main(["roundtrip", path]) == 3
     captured = capsys.readouterr()
     line = "max %s deviation%s = nan" % (
         ("matrix", "") if where == "matrix" else ("initial-value", " from identity"))

@@ -369,6 +369,17 @@ def test_ambiguous_norm_at_conditioning_limit():
         bs.reconstruct(sig)
 
 
+def test_constant_of_norm_zero_names_the_singular_jump_sum():
+    # a constant has norm zero, so a generator sits below height n and
+    # no basis height matches it; the refusal names the cause instead
+    sig = helpers.subspace_sigma()
+    assert bs.gram_schmidt(sig).generator_heights[0] == 2
+    with pytest.raises(ProfileMismatch) as info:
+        bs.reconstruct(sig)
+    assert str(info.value) == ("generator 1 at height 2 < n = 3 is a constant of norm "
+                               "zero: the jump sum is singular")
+
+
 def test_gate_returns_well_conditioned_half_bandwidth_one():
     # n = 1 at N = 24 came back 1.07e-8 off from the monomial engine
     # (zero-norm threshold 1e-12); its condition estimate passes the gate
