@@ -11,8 +11,9 @@ refusal after it such as `IllConditioned`, also holds the gate's
 condition estimate `cond` of `gram_schmidt` in hex.  The vector
 polynomials are not written: they follow from the matrix, the initial
 values and the profile through `solve_recurrence`.  Compare mode reads
-two such files and prints, per field, how many cases differ, plus the
-largest absolute difference in the matrix; it exits 1 when any field
+two such files and prints, per field, how many cases differ and the
+names of the first SHOWN of them, plus the largest absolute difference
+in the matrix; it exits 1 when any field
 differs in any case and 0 when the two files agree in every field, so
 it is the bit-identity check on its own.
 
@@ -20,16 +21,23 @@ Grid, drawn from seed 0: n in 1..8, N in {8, 16, 32, 48, 64} (N > n),
 every feasible number j0 of genuine cuts, each instance with identity
 and with random initial values.  That is 332 cases.
 
-After the grid come 19 inverse cases off it, with the same fields.
+After the grid come 21 inverse cases off it, with the same fields.
 For n in {2, 3, 5} and N in {8, 16, 32}, one generator seeded by (0,
 5, n, N) draws sorted normal nodes, random coefficient vectors at them
 (a matrix without cuts under random initial values, which `reconstruct`
 returns), then vectors in an (n-1)-dimensional subspace at the same
 nodes: their jump sum is singular, so they pass `validate_sigma` but
-lie outside the class, and `reconstruct` refuses them.  The last is
-the spectral function of a matrix (n = 1, N = 3) with entries of
-+-1e308, whose nodes lie near the float limit.  That makes 431 cases
-in all.
+lie outside the class, and `reconstruct` refuses them.  Next is the
+spectral function of a matrix (n = 1, N = 3) with entries of +-1e308,
+whose nodes lie near the float limit.  The last two are matrices that
+`reconstruct` returned further than 1e-8 from the input when they were
+added, without refusing: `random_band_matrix(default_rng(236), 1, 25,
+j0=0)` (1.88e-8 off, cond 1.85e7), and draw 93 (counted from 0) of
+the scale probe that draws n = rng.integers(1, 5), N =
+rng.integers(n + 2, 25) and `random_band_matrix(rng, n, N)` from one
+`default_rng(3)`, under T = [[1/64]] (n = 1, N = 22; 1.78e-7 off,
+cond 1.33e7).  A fix to the gate shows as these rows moving.  That
+makes 433 cases in all.
 
 Then come 36 direct-side cases: hand-built spectral functions with
 exact ties, near-tie chains, underflowing and overflowing weights,
@@ -63,11 +71,12 @@ Only write mode imports `bandspec`; `--compare` runs without it.
 
 import argparse
 import json
-from collections import Counter
 
 import numpy as np
 
 SEED = 0
+#: case names that compare mode lists under each field that differs
+SHOWN = 12
 
 
 def hexes(values):
@@ -132,8 +141,9 @@ def inverse_fingerprint(row, sigma):
 
 def off_grid_cases():
     """Random coefficient vectors at distinct nodes, vectors in an
-    (n-1)-dimensional subspace at the same nodes, then the spectral
-    function of a matrix with entries of +-1e308."""
+    (n-1)-dimensional subspace at the same nodes, the spectral function
+    of a matrix with entries of +-1e308, then two that reconstruct
+    returned past 1e-8 (see the module docstring)."""
     for n in (2, 3, 5):
         for N in (8, 16, 32):
             rng = np.random.default_rng((SEED, 5, n, N))
@@ -145,6 +155,15 @@ def off_grid_cases():
                    bs.SpectralFunction(n, zip(x, alpha)))
     A = bs.BandMatrix(1, 3, ((1e308, -1e308, 1e308), (1e308, 1e308)))
     yield "entries +-1e308 n=1 N=3", bs.canonical_spectral_function(A)
+    A = bs.sampling.random_band_matrix(np.random.default_rng(236), 1, 25, j0=0)
+    yield "default_rng(236) n=1 N=25 j0=0", bs.canonical_spectral_function(A)
+    rng = np.random.default_rng(3)
+    for _ in range(94):
+        n = int(rng.integers(1, 5))
+        N = int(rng.integers(n + 2, 25))
+        A = bs.sampling.random_band_matrix(rng, n, N)
+    yield ("scale probe draw 93 n=1 N=22 T=1/64", bs.transform_spectral_function(
+        bs.canonical_spectral_function(A), bs.TriangularInit(1, ((1 / 64,),))))
 
 
 def chain(x, factors):
@@ -289,20 +308,24 @@ def compare(path_a, path_b):
     if [r["case"] for r in rows_a] != [r["case"] for r in rows_b]:
         raise SystemExit("the two files hold different case lists")
     fields = sorted({k for r in rows_a + rows_b for k in r} - {"case"})
-    differ = Counter()
+    differ = {f: [] for f in fields}
     gap = 0.0
     for ra, rb in zip(rows_a, rows_b):
         for f in fields:
             if ra.get(f) != rb.get(f):
-                differ[f] += 1
+                differ[f].append(ra["case"])
         if "matrix" in ra and "matrix" in rb:
             gap = max(gap, matrix_gap(ra["matrix"], rb["matrix"]))
     refusals = sum("refusal" in r for r in rows_a), sum("refusal" in r for r in rows_b)
     print("%d cases, refusals %d / %d" % (len(rows_a), refusals[0], refusals[1]))
     for f in fields:
-        print("  %-11s %4d cases differ" % (f, differ[f]))
+        print("  %-11s %4d cases differ" % (f, len(differ[f])))
+        for case in differ[f][:SHOWN]:
+            print("      " + case)
+        if len(differ[f]) > SHOWN:
+            print("      ... and %d more" % (len(differ[f]) - SHOWN))
     print("largest absolute matrix difference: %r" % gap)
-    return sum(differ.values()) == 0
+    return not any(differ.values())
 
 
 def main():

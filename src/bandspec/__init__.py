@@ -12,11 +12,11 @@ polynomials in a degenerate inner-product space.
 Modules
 -------
 vecpoly
-    Vector polynomials and the height grading.
+    Vector polynomials and the height grading, a view of results.
 bandmat
     The matrix class and membership validation.
 recurrence
-    The band recurrence solved in vector polynomials.
+    The band recurrence solved in one height-indexed coefficient array.
 spectral
     Eigendecomposition, spectral functions, their validation and
     transformation, the degenerate inner product.
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 # the public names of each submodule, bound here on first use
 _EXPORTS = {
     "vecpoly": ("NEG_INF", "VecPoly", "basis_vector", "evaluate", "height",
-                "linear_combine", "shift_mul", "trim_small", "vec_poly", "zero_poly"),
+                "linear_combine", "trim_small", "vec_poly"),
     "bandmat": ("BandMatrix", "DegenerationProfile", "TriangularInit", "shrink_band",
                 "to_dense", "validate_band"),
     "recurrence": ("RecurrenceTable", "generator_matrix", "rank_defect",

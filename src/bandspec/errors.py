@@ -10,8 +10,8 @@ Three families matter to callers (and to the CLI exit-code mapping):
 * ``NumericalDecisionError`` - a tolerance-based decision could not be
   made safely, or the answer would not be accurate (ambiguous
   zero-norm test, iteration cap, an ill-conditioned reconstruction,
-  vanishing denominator, a spectral weight lost to underflow or
-  overflow, a round trip that misses its tolerance).  CLI exit code 3.
+  vanishing denominator, a weight or spring-chain entry lost to
+  underflow or overflow, a round trip off its tolerance).  CLI exit code 3.
 """
 
 
@@ -110,8 +110,8 @@ class NoConvergence(NumericalDecisionError):
 
 
 class IterationCapExceeded(NumericalDecisionError):
-    """Gram-Schmidt exceeded its height-derived iteration cap; the input
-    is not an admissible spectral function."""
+    """Gram-Schmidt passed its height-derived cap, kept a candidate after
+    a full basis, or lost every residue class before N basis members."""
 
 
 class AmbiguousNorm(NumericalDecisionError):
@@ -137,6 +137,10 @@ class WeightOverflow(NumericalDecisionError):
 
 class DivisionByZero(NumericalDecisionError):
     """A denominator in the continued-fraction check vanishes."""
+
+
+class NonFiniteEntry(NumericalDecisionError):
+    """An entry of a spring chain's mass-weighted matrix is no finite float."""
 
 
 class RoundTripDeviation(NumericalDecisionError):

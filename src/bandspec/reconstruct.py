@@ -220,8 +220,7 @@ def gram_schmidt(sigma):
             if h >= cap:
                 raise IterationCapExceeded(
                     "consumed %d heights (cap %d) with %d basis members and "
-                    "%d generators; the input is not the spectral function of "
-                    "any admissible band matrix" % (h + 1, cap, len(row), len(gheights))
+                    "%d generators" % (h + 1, cap, len(row), len(gheights))
                 )
             if h >= n and h - n not in row:
                 continue  # the residue class of h is dead
@@ -240,8 +239,7 @@ def gram_schmidt(sigma):
                 if r == N:
                     raise IterationCapExceeded(
                         "candidate at height %d has norm %g after projection "
-                        "on a full basis; the input is not an admissible "
-                        "spectral function" % (h, nrm)
+                        "on a full basis" % (h, nrm)
                     )
                 np.sqrt(nrms, out=nrms)
                 np.divide(v, nrms, out=Q[:, r, None])
@@ -269,8 +267,8 @@ def gram_schmidt(sigma):
                 )
         if len(row) != N:
             raise IterationCapExceeded(
-                "every residue class died with %d of %d basis members; the "
-                "input is not an admissible spectral function" % (len(row), N)
+                "every residue class died with %d of %d basis members"
+                % (len(row), N)
             )
         A = (Q * y) @ Qt
         A *= scale[:, :, None]

@@ -1,10 +1,11 @@
-"""The band recurrence of a class member, solved in vector polynomials.
+"""The band recurrence of a class member, solved in one coefficient array.
 
 ``solve_recurrence`` builds, for a member of the class (it validates
 the matrix itself) and an upper triangular matrix of initial values,
 the N recurrence solutions p_k (vector polynomials that are orthonormal
 under the matrix's spectral function) together with the n zero-norm
-generators q_i collected at the degeneration positions.
+generators q_i collected at the degeneration positions, as views of
+the rows of one float64 array indexed by height.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from . import vecpoly
-from .vecpoly import linear_combine, shift_mul
 from .bandmat import validate_band
 
 #: Relative singular-value threshold of rank_defect.
@@ -77,33 +77,31 @@ def solve_recurrence(A, T):
             % (T.n, T.n, n)
         )
     cuts = set(profile.m)
-    # columns of T as constant vector polynomials
-    basis = [
-        vecpoly.vec_poly([(T.rows[i][j],) for i in range(n)]) for j in range(n)
-    ]
+    # row k - 1 is p_k by height; the height sum caps z p_k at Nn - (n-1)^2
+    P = np.zeros((N, n * (N - n + 2)))
+    P[:n, :n] = T.dense().T + 0.0  # the columns of T, every zero +0.0
     generators = []
     for k in range(1, N + 1):
         s = sum(1 for mj in profile.m if mj < k)
-        terms = [(1.0, shift_mul(basis[k - 1])), (-A.entry(0, k), basis[k - 1])]
-        for j in range(1, n + 1):
-            if k - j >= 1:
-                terms.append((-A.entry(j, k - j), basis[k - j - 1]))
-        # forward couplings strictly below the pivot diagonal; at a
-        # degeneration position (s cuts already passed, this is cut
+        # z p_k, then each coupling subtracted in turn: the diagonal,
+        # backward, then forward strictly below the pivot diagonal; at
+        # a degeneration position (s cuts already passed, this is cut
         # s + 1) the same bound n - s - 1 skips the vanished entries
+        r = np.concatenate((np.zeros(n), P[k - 1, :-n]))
+        r -= A.entry(0, k) * P[k - 1]
+        for j in range(1, min(n, k - 1) + 1):
+            r -= A.entry(j, k - j) * P[k - j - 1]
         for j in range(1, n - s):
-            terms.append((-A.entry(j, k), basis[k + j - 1]))
-        r = linear_combine(terms)
+            r -= A.entry(j, k) * P[k + j - 1]
         if k in cuts:
-            generators.append(r)
+            generators.append(vecpoly._canonical(n, r))
         else:
-            # m_s < k < m_{s+1}: validate_band found this pivot positive
-            pivot = A.entry(n - s, k)
-            new_index = k + n - s
-            assert new_index == len(basis) + 1, "recurrence lost contiguity"
-            basis.append(linear_combine([(1.0 / pivot, r)]))
-    assert len(basis) == N and len(generators) == n
-    return RecurrenceTable(tuple(basis), tuple(generators))
+            # m_s < k < m_{s+1}: validate_band found this pivot positive;
+            # p_{k+n-s} is the next unsolved solution iff s generators exist
+            assert s == len(generators), "recurrence lost contiguity"
+            P[k + n - s - 1] = (1.0 / A.entry(n - s, k)) * r + 0.0
+    assert len(generators) == n
+    return RecurrenceTable(tuple(vecpoly._canonical(n, p) for p in P), tuple(generators))
 
 
 def generator_matrix(table, z):

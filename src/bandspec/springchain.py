@@ -22,6 +22,7 @@ from .errors import (
     DivisionByZero,
     IndexOutOfRange,
     NegativeSpring,
+    NonFiniteEntry,
     NonPositiveMass,
 )
 from .bandmat import BandMatrix, to_dense
@@ -91,7 +92,8 @@ def build_spring_matrix(chain):
     The declared half-bandwidth is min(2, N - 1); chains too short for
     next-nearest couplings simply store fewer diagonals.  A chain with
     all kp = 0 still reports bandwidth 2 (with a zero outer diagonal);
-    shrink_band recovers the tridiagonal form when needed.
+    shrink_band recovers the tridiagonal form when needed.  An entry
+    that is no finite float raises NonFiniteEntry naming it.
     """
     m, k = chain.masses, chain.k
     N = chain.N
@@ -99,13 +101,21 @@ def build_spring_matrix(chain):
         -(k[j] + chain._kp(j + 1) + k[j - 1] + chain._kp(j - 1)) / m[j - 1]
         for j in range(1, N + 1)
     )
+    # a root that underflows to 0.0 makes its entry nan, refused below
     d1 = tuple(
-        k[j] / math.sqrt(m[j - 1] * m[j]) for j in range(1, N)
+        k[j] / (math.sqrt(m[j - 1] * m[j]) or math.nan) for j in range(1, N)
     )
     d2 = tuple(
-        chain._kp(j + 1) / math.sqrt(m[j - 1] * m[j + 1])
+        chain._kp(j + 1) / (math.sqrt(m[j - 1] * m[j + 1]) or math.nan)
         for j in range(1, N - 1)
     )
+    if not all(map(math.isfinite, d0 + d1 + d2)):
+        g, j, v = next((g, j, v) for g, d in enumerate((d0, d1, d2))
+                       for j, v in enumerate(d, start=1) if not math.isfinite(v))
+        raise NonFiniteEntry(
+            "entry d%d_%d of the mass-weighted matrix is %r: a root of a mass "
+            "product underflowed to 0.0, or a quotient overflowed" % (g, j, v)
+        )
     n = min(2, N - 1)
     return BandMatrix(n, N, (d0, d1, d2)[: n + 1])
 

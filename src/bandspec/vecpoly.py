@@ -16,6 +16,9 @@ entry nonzero, so its length is the height plus one and the zero
 polynomial stores no coefficients at all.  Trimming compares against
 exact zero only; construction never introduces spurious tiny
 coefficients by itself.
+
+A VecPoly is a view of results, not engine arithmetic: ``recurrence``
+solves in one height-indexed array and hands its rows out as VecPolys.
 """
 
 from __future__ import annotations
@@ -98,13 +101,6 @@ def vec_poly(components):
     return _canonical(n, coef)
 
 
-def zero_poly(n):
-    """The zero vector polynomial with n components."""
-    if n < 1:
-        raise DimensionMismatch("component count must be >= 1, got %d" % n)
-    return _canonical(n, np.zeros(0))
-
-
 def basis_vector(i, n):
     """The i-th member (i >= 1) of the graded monomial sequence.
 
@@ -141,15 +137,6 @@ def evaluate(p, x):
             acc = acc * x + v
         out.append(acc)
     return tuple(out)
-
-
-def shift_mul(p):
-    """Multiply by the variable: r(z) -> z * r(z).
-
-    Raises every nonzero component degree by one, hence the height by
-    exactly n.  The zero polynomial maps to itself.
-    """
-    return _canonical(p.n, np.concatenate([np.zeros(p.n), p.coef]))
 
 
 def linear_combine(terms):

@@ -139,11 +139,6 @@ def ref_evaluate(comps, x):
     return tuple(out)
 
 
-def ref_shift_mul(comps):
-    """Multiply every component by the variable."""
-    return tuple((0.0,) + c if c else () for c in comps)
-
-
 def ref_linear_combine(terms):
     """sum_k c_k * comps_k, accumulated term by term per coefficient."""
     n = len(terms[0][1])
@@ -155,6 +150,35 @@ def ref_linear_combine(terms):
                 acc[d] += c * v
         out.append(ref_trim(acc))
     return tuple(out)
+
+
+def ref_solve_recurrence(A, T):
+    """solve_recurrence with one VecPoly per solution: z p_k by its own
+    shift of the coefficient array, then each coupling term combined by
+    linear_combine in the same order."""
+    def shift(p):
+        return vecpoly._canonical(p.n, np.concatenate([np.zeros(p.n), p.coef]))
+
+    profile = bs.validate_band(A)
+    n, N = A.n, A.N
+    cuts = set(profile.m)
+    basis = [vecpoly.vec_poly([(T.rows[i][j],) for i in range(n)]) for j in range(n)]
+    generators = []
+    for k in range(1, N + 1):
+        s = sum(1 for mj in profile.m if mj < k)
+        terms = [(1.0, shift(basis[k - 1])), (-A.entry(0, k), basis[k - 1])]
+        for j in range(1, n + 1):
+            if k - j >= 1:
+                terms.append((-A.entry(j, k - j), basis[k - j - 1]))
+        for j in range(1, n - s):
+            terms.append((-A.entry(j, k), basis[k + j - 1]))
+        r = linear_combine(terms)
+        if k in cuts:
+            generators.append(r)
+        else:
+            assert k + n - s == len(basis) + 1
+            basis.append(linear_combine([(1.0 / A.entry(n - s, k), r)]))
+    return bs.RecurrenceTable(tuple(basis), tuple(generators))
 
 
 def ref_trim_small(comps, rel=1e-12):
@@ -489,8 +513,7 @@ def ref_gram_schmidt(sigma):
             if h >= cap:
                 raise IterationCapExceeded(
                     "consumed %d heights (cap %d) with %d basis members and "
-                    "%d generators; the input is not the spectral function of "
-                    "any admissible band matrix" % (h + 1, cap, len(row), len(gheights))
+                    "%d generators" % (h + 1, cap, len(row), len(gheights))
                 )
             if h >= n and h - n not in row:
                 continue  # the residue class of h is dead
@@ -503,8 +526,7 @@ def ref_gram_schmidt(sigma):
                 if r == N:
                     raise IterationCapExceeded(
                         "candidate at height %d has norm %g after projection "
-                        "on a full basis; the input is not an admissible "
-                        "spectral function" % (h, nrm)
+                        "on a full basis" % (h, nrm)
                     )
                 nrms = np.sqrt(v @ v.swapaxes(1, 2))
                 nrms[0] = nrm
@@ -526,8 +548,8 @@ def ref_gram_schmidt(sigma):
                 )
     if len(row) != N:
         raise IterationCapExceeded(
-            "every residue class died with %d of %d basis members; the "
-            "input is not an admissible spectral function" % (len(row), N)
+            "every residue class died with %d of %d basis members"
+            % (len(row), N)
         )
     if sum(gheights) != total_height:
         raise IterationCapExceeded(

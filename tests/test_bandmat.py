@@ -272,6 +272,63 @@ def test_recurrence_structure_on_degenerate_instance():
     assert hs[0] % 2 != hs[1] % 2
 
 
+def _coef_bytes(table):
+    return [p.coef.tobytes() for p in table.basis + table.generators]
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(min_value=1, max_value=8), data=st.data())
+def test_solve_recurrence_matches_reference(n, data):
+    """solve_recurrence agrees byte for byte with the VecPoly reference
+    in helpers on random members (random j0, random initial values on
+    half the draws): every coefficient of the basis and the generators,
+    and the generator matrix and rank defect at an eigenvalue and at a
+    drawn point."""
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = bs.sampling.random_band_matrix(rng, n, N)
+    if data.draw(st.booleans()):
+        T = bs.sampling.random_tinit(rng, n)
+    else:
+        T = bs.TriangularInit.identity(n)
+    got, want = bs.solve_recurrence(A, T), helpers.ref_solve_recurrence(A, T)
+    assert _coef_bytes(got) == _coef_bytes(want)
+    lam = np.linalg.eigvalsh(bs.to_dense(A))[data.draw(st.integers(0, N - 1))]
+    for z in (float(lam), data.draw(st.floats(min_value=-3.0, max_value=3.0))):
+        assert bs.generator_matrix(got, z).tobytes() == bs.generator_matrix(want, z).tobytes()
+        assert bs.rank_defect(got, z) == bs.rank_defect(want, z)
+
+
+def test_solve_recurrence_non_finite_entry_fills_the_row():
+    """+inf inside a positive run passes validate_band and turns some
+    coefficients into NaN.  Members that stay finite equal the
+    reference's byte for byte; a member with a NaN is NaN out to the
+    coefficient array's full width n(N - n + 2) = 12, so its height is
+    11 where the reference's stops at its own."""
+    inf = float("inf")
+    A = bs.BandMatrix(2, 6, ((0.0,) * 6, (0.5,) * 5, (1.0, inf, 0.0, 0.0)))
+    T = bs.TriangularInit.identity(2)
+    with np.errstate(invalid="ignore"):
+        got, want = bs.solve_recurrence(A, T), helpers.ref_solve_recurrence(A, T)
+    members = list(zip(got.basis + got.generators, want.basis + want.generators))
+    for p, q in members:
+        if np.all(np.isfinite(q.coef)):
+            assert p.coef.tobytes() == q.coef.tobytes()
+        else:
+            assert np.isnan(p.coef[-1])
+    assert [bs.height(p) for p, _ in members] == [0, 1, 2, bs.NEG_INF, 11, 11, 4, 11]
+    assert [bs.height(q) for _, q in members] == [0, 1, 2, bs.NEG_INF, 2, 4, 4, 6]
+
+
+def test_solve_recurrence_makes_negative_zero_initial_values_positive():
+    # vec_poly trimmed a -0.0 above T's diagonal to an empty component
+    T = bs.TriangularInit(2, ((1.0, -0.0), (0.0, 2.0)))
+    A = bs.sampling.random_band_matrix(np.random.default_rng(1), 2, 9)
+    got = bs.solve_recurrence(A, T)
+    assert _coef_bytes(got) == _coef_bytes(helpers.ref_solve_recurrence(A, T))
+    assert got.basis[1].coef.tobytes() == np.array([0.0, 2.0]).tobytes()
+
+
 def test_solve_recurrence_refuses_matrix_outside_class():
     for outer, error in (((0.0, 1.0, 1.0), LeadingZero),
                          ((1.0, 0.0, 1.0), NonContiguousPositiveRun)):

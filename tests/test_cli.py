@@ -158,7 +158,8 @@ def test_inverse_refuses_extreme_admissible_jump_numerically(tmp_path, capsys, a
     bs.validate_sigma(sig)
     path = write(tmp_path, "extreme.json", fileio.dump_sigma(sig))
     assert main(["inverse", path]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not an admissible" not in err
 
 
 def test_direct_summary_prints_identity_sum(tmp_path, capsys):
@@ -314,6 +315,24 @@ def test_spring_cf_check(tmp_path, capsys):
     path = write(tmp_path, "short.json", fileio.dump_chain(short))
     assert main(["spring", path, "--cf-check"]) == 0
     assert "no interior indices" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("chain, entry", [
+    # sqrt(m_1 m_2) underflows to 0.0
+    (((1e-200, 1e-200), (1.0, 1.0, 1.0), (0.0, 0.0)),
+     "entry d1_1 of the mass-weighted matrix is nan"),
+    # d0_2 = -(1e300 + 1) / 1e-300 overflows
+    (((1.0, 1e-300), (1.0, 1.0, 1e300), (0.0, 0.0)),
+     "entry d0_2 of the mass-weighted matrix is -inf"),
+], ids=["root-underflow", "overflow"])
+@pytest.mark.parametrize("flags", [[], ["--matrix"]], ids=["frequencies", "matrix"])
+def test_spring_refuses_non_finite_entry(tmp_path, chain, entry, flags):
+    path = write(tmp_path, "chain.json", fileio.dump_chain(bs.SpringChain(*chain)))
+    proc = subprocess.run([sys.executable, "-m", "bandspec", "spring", path] + flags,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: NonFiniteEntry: " + entry)
+    assert "Traceback" not in proc.stderr and "nan" not in proc.stdout
 
 
 def test_roundtrip_accepts_valid_matrix(tmp_path, capsys):

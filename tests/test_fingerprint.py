@@ -31,4 +31,6 @@ def test_compare_runs_without_the_library(tmp_path):
     assert same.returncode == 0, same.stderr
     differ = compare(files[0], files[2])
     assert differ.returncode == 1, differ.stderr
-    assert "message        1 cases differ" in differ.stdout
+    lines = differ.stdout.splitlines()
+    named = lines.index("  message        1 cases differ") + 1
+    assert lines[named] == "      b"

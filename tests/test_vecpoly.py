@@ -22,7 +22,7 @@ def test_basis_vector_examples():
 def test_height_examples():
     p = bs.vec_poly(((0.0, 0.0, 1.0), (0.0, 3.0)))
     assert bs.height(p) == 4
-    assert bs.height(bs.zero_poly(4)) is bs.NEG_INF
+    assert bs.height(bs.vec_poly([()] * 4)) is bs.NEG_INF
     assert bs.height(bs.basis_vector(5, 2)) == 4
 
 
@@ -34,22 +34,8 @@ def test_height_of_zero_orders_below_everything():
 def test_evaluate_examples():
     p = bs.vec_poly(((0.0, 0.0, 1.0), (0.0, 3.0)))
     assert bs.evaluate(p, 2.0) == (4.0, 6.0)
-    assert bs.evaluate(bs.zero_poly(3), 17.5) == (0.0, 0.0, 0.0)
+    assert bs.evaluate(bs.vec_poly([()] * 3), 17.5) == (0.0, 0.0, 0.0)
     assert bs.evaluate(bs.basis_vector(2, 2), 5.0) == (0.0, 1.0)
-
-
-def test_shift_mul_examples():
-    p = bs.vec_poly(((1.0,), ()))
-    zp = bs.shift_mul(p)
-    assert zp.comps == ((0.0, 1.0), ())
-    assert bs.height(p) == 0 and bs.height(zp) == 2
-
-    assert bs.shift_mul(bs.zero_poly(2)).is_zero()
-
-    p = bs.vec_poly(((0.0, 1.0), (1.0,)))
-    zp = bs.shift_mul(p)
-    assert zp.comps == ((0.0, 0.0, 1.0), (0.0, 1.0))
-    assert bs.height(p) == 2 and bs.height(zp) == 4
 
 
 def test_linear_combine_examples():
@@ -103,14 +89,6 @@ def vec_polys(draw, n=None, max_deg=4):
         deg = draw(st.integers(min_value=-1, max_value=max_deg))
         comps.append(tuple(draw(coeff) for _ in range(deg + 1)))
     return bs.vec_poly(comps)
-
-
-@given(vec_polys())
-def test_shift_mul_height_law(p):
-    if p.is_zero():
-        assert bs.shift_mul(p).is_zero()
-    else:
-        assert bs.height(bs.shift_mul(p)) == bs.height(p) + p.n
 
 
 @given(st.data())
@@ -228,8 +206,6 @@ def test_array_layout_matches_component_reference(data):
         assert helpers.bits(p.comps) == helpers.bits(ref)
         assert bs.height(p) == helpers.ref_height(ref)
         assert (bs.height(p) is bs.NEG_INF) == p.is_zero()
-        assert helpers.bits(bs.shift_mul(p).comps) == helpers.bits(
-            helpers.ref_shift_mul(ref))
         assert helpers.bits(bs.trim_small(p, rel).comps) == helpers.bits(
             helpers.ref_trim_small(ref, rel))
         assert helpers.bits(bs.evaluate(p, x)) == helpers.bits(
@@ -242,7 +218,7 @@ def test_array_layout_matches_component_reference(data):
     for p, ref in zip(polys, refs):
         for q, qref in zip(polys, refs):
             assert (p == q) == (ref == qref)
-    assert bs.zero_poly(n) != bs.zero_poly(n + 1)
+    assert bs.vec_poly([()] * n) != bs.vec_poly([()] * (n + 1))
 
 
 def _two_node_sigma():
@@ -267,7 +243,8 @@ def test_interpolation_solution_accepts_node_annihilator():
     # (z - x_1)(z - x_2) e_1 vanishes at every node by construction
     prod = bs.vec_poly(((1.0,),))
     for jump in sig.jumps:
-        prod = bs.linear_combine([(1.0, bs.shift_mul(prod)), (-jump.x, prod)])
+        z_prod = bs.vec_poly([(0.0,) + c for c in prod.comps])
+        prod = bs.linear_combine([(1.0, z_prod), (-jump.x, prod)])
     assert helpers.is_interpolation_solution(prod, sig, 1e-9)
 
 
