@@ -16,7 +16,10 @@ processes and prints the median wall time of each, in milliseconds:
   entry through `runpy.run_module`, as `python -m` does, so any
   checkout can be measured. At that moment the child also records
   what the subcommand loaded: the `bandspec` modules (`modules`) and
-  whether `numpy` and `numpy.random` were imported.
+  whether `numpy` and `numpy.random` were imported;
+* for each subcommand, the cold `build_parser().parse_args(argv)`
+  (`parse_ms`), timed in a fresh interpreter after `import
+  bandspec.cli`.
 
 Set PYTHONPATH to the `src` directory of the checkout to measure; the
 children import bandspec from the same directory as this script does.
@@ -69,6 +72,13 @@ except SystemExit:
         fh.write(repr([t, loaded, "numpy" in sys.modules, "numpy.random" in sys.modules]))
     raise
 """
+PARSE = """\
+import sys, time
+import bandspec.cli
+t = time.perf_counter()
+bandspec.cli.build_parser().parse_args(sys.argv[1:])
+print(time.perf_counter() - t)
+"""
 
 
 def write_inputs(directory, seed):
@@ -100,11 +110,18 @@ def shutdown(argv, cwd, env):
     return end - t, {"modules": modules, "numpy": numpy, "numpy.random": numpy_random}
 
 
+def parse(argv, cwd, env):
+    p = subprocess.run([sys.executable, "-c", PARSE] + argv, cwd=cwd, env=env,
+                       capture_output=True, text=True, timeout=120, check=True)
+    return float(p.stdout)
+
+
 def measure(runs, seed):
     env = dict(os.environ, PYTHONPATH=str(Path(bs.__file__).resolve().parents[1]))
     imports = {k: [] for k in IMPORTS}
     totals = {k: [] for k in COMMANDS}
     downs = {k: [] for k in COMMANDS}
+    parses = {k: [] for k in COMMANDS}
     codes, loads = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
@@ -118,9 +135,10 @@ def measure(runs, seed):
                 totals[name].append(wall)
                 down, loads[name] = shutdown(argv, cwd, env)
                 downs[name].append(down)
+                parses[name].append(parse(argv, cwd, env))
 
-    def ms(values):
-        return round(1e3 * statistics.median(values), 1)
+    def ms(values, digits=1):
+        return round(1e3 * statistics.median(values), digits)
 
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
@@ -130,7 +148,8 @@ def measure(runs, seed):
         "imports_ms": {k: ms(v) for k, v in imports.items()},
         "commands": {
             k: {"argv": " ".join(COMMANDS[k]), "exit": codes[k],
-                "total_ms": ms(totals[k]), "shutdown_ms": ms(downs[k]), **loads[k]}
+                "total_ms": ms(totals[k]), "shutdown_ms": ms(downs[k]),
+                "parse_ms": ms(parses[k], 2), **loads[k]}
             for k in COMMANDS
         },
     }

@@ -61,9 +61,10 @@ _EXPORTS = {
                     "frequencies"),
 }
 _LIBRARY = ("errors", "sampling") + tuple(_EXPORTS)
-_NAMES = frozenset(name for names in _EXPORTS.values() for name in names)
+# each public name's home module, also read by the command line
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names}
 
-__all__ = ["errors", "sampling"] + [name for names in _EXPORTS.values() for name in names]
+__all__ = ["errors", "sampling"] + list(_HOME)
 
 
 def _submodule(name):
@@ -85,7 +86,7 @@ def __getattr__(name):
     # a submodule that runs `from . import vecpoly` while it is half
     # imported asks for a submodule name here: that imports the
     # submodule alone, and never the rest of the library
-    if name in _NAMES:
+    if name in _HOME:
         _load()
         return globals()[name]
     if name in _LIBRARY:

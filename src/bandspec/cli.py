@@ -11,9 +11,9 @@ it, band Lanczos returns a matrix only when its conditioning gate puts
 the answer within the accuracy bound; near the caps many inputs are
 refused (exit 3), half bandwidth 1 from N = 32 on.
 
-A process loads only what its subcommand runs: the library names below
-are imported on first use, so `validate` runs without numpy, and only
-the chosen subcommand's arguments are built.
+A process loads only what its subcommand runs: each library name is
+imported from its home module on first use, so `validate` runs without
+numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import gc
 import math
 import sys
 
-from . import fileio
+from . import _HOME, fileio
 from .errors import (
     InputError,
     NumericalDecisionError,
@@ -34,28 +34,16 @@ from .errors import (
 MAX_BANDWIDTH = 8
 MAX_DIMENSION = 64
 
-# The library names the commands use, by home module.  Each is imported
-# when a command first reads it through _this, then kept as a module
-# attribute, where tests and the benchmark's tracer may replace it.
-_HOMES = {
-    "validate_band": "bandmat",
-    "SpectralFunction": "spectral",
-    "canonical_spectral_function": "spectral",
-    "jump_sum": "spectral",
-    "transform_spectral_function": "spectral",
-    "GATE_BOUND": "reconstruct",
-    "reconstruct": "reconstruct",
-    "build_spring_matrix": "springchain",
-    "continued_fraction_check": "springchain",
-    "frequencies": "springchain",
-}
+# A public library name is imported from its home module when a command
+# first reads it through _this, then kept as a module attribute, where
+# tests and the benchmark's tracer may replace it.
 _this = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _HOMES:
+    if name not in _HOME:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    home = "%s.%s" % (__package__, _HOMES[name])
+    home = "%s.%s" % (__package__, _HOME[name])
     __import__(home)  # logged by -X importtime, unlike importlib.import_module
     value = globals()[name] = getattr(sys.modules[home], name)
     return value
@@ -78,11 +66,7 @@ def _emit(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError("cannot write %r: %s" % (path, exc)) from exc
+        fileio.write_file(path, text)
         print("wrote %s" % path)
 
 
@@ -120,6 +104,8 @@ def cmd_inverse(args):
     if args.tinit_out is not None:
         fileio.write_file(args.tinit_out, rec.tinit)
         print("wrote %s" % args.tinit_out)
+    from .reconstruct import GATE_BOUND  # loaded by now
+
     gs = rec.diagnostics
     n, N = sigma.n, sigma.N
     print("profile: m = [%s], j0 = %d"
@@ -130,7 +116,7 @@ def cmd_inverse(args):
           % (sum(gs.generator_heights), N * n + n * (n - 1) // 2))
     print("candidates consumed: %d" % gs.iterations)
     print("condition estimate: %.3g (cond * eps = %.3g, bound %g)"
-          % (gs.cond, gs.cond * sys.float_info.epsilon, _this.GATE_BOUND))
+          % (gs.cond, gs.cond * sys.float_info.epsilon, GATE_BOUND))
 
 
 def cmd_spring(args):
@@ -182,11 +168,20 @@ def _finite(least):
     return number
 
 
-def _validate_arguments(p):
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="bandspec",
+        description="Direct and inverse spectral analysis of band "
+                    "symmetric matrices with degeneration structure.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check class membership and "
+                       "report the degeneration profile")
     p.add_argument("matrix_file")
+    p.set_defaults(func=cmd_validate)
 
-
-def _direct_arguments(p):
+    p = sub.add_parser("direct", help="matrix to spectral function")
     p.add_argument("matrix_file")
     p.add_argument("--tinit", metavar="FILE",
                    help="initial-value matrix (default: identity)")
@@ -194,17 +189,17 @@ def _direct_arguments(p):
                    help="output sigma file ('-' for stdout)")
     p.add_argument("--summary", action="store_true",
                    help="also print the sum of all jump matrices")
+    p.set_defaults(func=cmd_direct)
 
-
-def _inverse_arguments(p):
+    p = sub.add_parser("inverse", help="spectral function to matrix")
     p.add_argument("sigma_file")
     p.add_argument("-o", "--output", metavar="FILE", default="-",
                    help="output matrix file ('-' for stdout)")
     p.add_argument("--tinit-out", metavar="FILE",
                    help="also write the recovered initial-value matrix")
+    p.set_defaults(func=cmd_inverse)
 
-
-def _spring_arguments(p):
+    p = sub.add_parser("spring", help="mass-spring chain tools")
     p.add_argument("chain_file")
     p.add_argument("--frequencies", action="store_true",
                    help="print oscillation frequencies (default action)")
@@ -215,54 +210,17 @@ def _spring_arguments(p):
                         "interior index")
     p.add_argument("-o", "--output", metavar="FILE", default="-",
                    help="output file for --matrix ('-' for stdout)")
+    p.set_defaults(func=cmd_spring)
 
-
-def _roundtrip_arguments(p):
+    p = sub.add_parser("roundtrip", help="direct then inverse, report "
+                       "the deviation")
     p.add_argument("matrix_file")
     p.add_argument("--tol", type=_finite(0.0), default=1e-8,
                    help="acceptance threshold (default 1e-8)")
     p.add_argument("--perturb", type=_finite(-math.inf), default=0.0, metavar="EPS",
                    help="debug: bump the first jump coefficient by EPS "
                         "between the two passes")
-
-
-# name, help, and the function that adds the arguments of cmd_<name>
-_COMMANDS = (
-    ("validate", "check class membership and report the degeneration profile",
-     _validate_arguments),
-    ("direct", "matrix to spectral function", _direct_arguments),
-    ("inverse", "spectral function to matrix", _inverse_arguments),
-    ("spring", "mass-spring chain tools", _spring_arguments),
-    ("roundtrip", "direct then inverse, report the deviation", _roundtrip_arguments),
-)
-
-
-class _Subcommands(argparse._SubParsersAction):
-    """Subparsers that get their arguments when argparse selects one, so a
-    call builds the arguments of its own subcommand only."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.pending = {}
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        add_arguments = self.pending.pop(values[0], None)
-        if add_arguments is not None:
-            add_arguments(self.choices[values[0]])
-        super().__call__(parser, namespace, values, option_string)
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bandspec",
-        description="Direct and inverse spectral analysis of band "
-                    "symmetric matrices with degeneration structure.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
-    for name, help_text, add_arguments in _COMMANDS:
-        # read when the parser is built, so a replaced command is the one run
-        sub.add_parser(name, help=help_text).set_defaults(func=globals()["cmd_" + name])
-        sub.pending[name] = add_arguments
+    p.set_defaults(func=cmd_roundtrip)
     return parser
 
 

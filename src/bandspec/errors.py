@@ -94,11 +94,11 @@ class ProfileMismatch(ValidationError):
 
 
 class NonPositiveMass(ValidationError):
-    """A chain body has mass <= 0."""
+    """A chain body's mass is not a positive finite number."""
 
 
 class NegativeSpring(ValidationError):
-    """A spring constant is negative."""
+    """A spring constant is negative or not finite."""
 
 
 class NumericalDecisionError(BandSpecError):
@@ -116,7 +116,8 @@ class IterationCapExceeded(NumericalDecisionError):
 
 class AmbiguousNorm(NumericalDecisionError):
     """A Gram-Schmidt residual norm falls within a factor 10 of the
-    zero-norm threshold; the zero/nonzero decision is unsafe."""
+    zero-norm threshold, or a candidate's squared norm overflows float64
+    and makes that threshold inf; the zero/nonzero decision is unsafe."""
 
 
 class IllConditioned(NumericalDecisionError):

@@ -12,8 +12,8 @@ Numbers are written in shortest round-trip decimal form, so writing a
 value and reading it back is bit-exact.  Non-finite numbers, literal or
 overflowing, are rejected on input and never produced on output.
 
-A loader imports the class of its own kind only, so reading a matrix
-or initial values needs no numpy.
+Reading a matrix or initial values needs no numpy: the loaders of the
+other two kinds import their classes when they run.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 
+from .bandmat import BandMatrix, TriangularInit
 from .errors import InputError
 
 
@@ -68,8 +69,6 @@ def _num_list(doc_name, field, v):
 
 
 def load_matrix(text):
-    from .bandmat import BandMatrix
-
     doc = _loads(text, "matrix")
     n = _int("matrix", "n", _field("matrix", doc, "n"))
     N = _int("matrix", "N", _field("matrix", doc, "N"))
@@ -136,8 +135,6 @@ def dump_chain(chain):
 
 
 def load_tinit(text):
-    from .bandmat import TriangularInit
-
     doc = _loads(text, "tinit")
     n = _int("tinit", "n", _field("tinit", doc, "n"))
     raw = _field("tinit", doc, "rows")
@@ -177,7 +174,8 @@ def read_file(path, kind):
 
 
 def write_file(path, value):
-    text = _DUMPERS[type(value).__name__](value)
+    """Write a value of one of the four kinds, or text already dumped."""
+    text = value if isinstance(value, str) else _DUMPERS[type(value).__name__](value)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

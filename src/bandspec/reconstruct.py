@@ -179,7 +179,8 @@ def gram_schmidt(sigma):
     Raises
     ------
     AmbiguousNorm
-        A residual norm fell within a factor 10 of tau.
+        A residual norm fell within a factor 10 of tau, or a candidate's
+        squared norm overflowed float64, which makes tau inf.
     IterationCapExceeded
         More heights were consumed than any admissible spectral
         function allows (cap n(N-n+1)+1, from the height-sum identity),
@@ -192,9 +193,9 @@ def gram_schmidt(sigma):
         raise DimensionMismatch(
             "need more jumps than components, got N=%d n=%d" % (N, n)
         )
-    g, G = _perturbations(N, n)
+    factor, offset = _perturbations(N, n)
     # slot 0 is the input, slot k > 0 its k-th perturbed copy
-    x = np.concatenate((sigma.x[None], sigma.x * (1.0 + GATE_STEP * g)))
+    x = sigma.x * factor
     lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
     center, scale = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo  # halves cannot overflow
     if scale[0, 0] == 0.0:
@@ -202,7 +203,7 @@ def gram_schmidt(sigma):
         # cannot land here
         raise DimensionMismatch("all nodes coincide")
     y = ((x - center) / scale)[:, None, :]
-    alpha = np.concatenate((sigma.alpha[None], sigma.alpha + GATE_STEP * G))
+    alpha = sigma.alpha + offset
     consts_of = alpha.transpose(2, 0, 1)[:, :, None, :]  # values of e_{h+1}
 
     cap = n * (N - n + 1) + 1
@@ -226,6 +227,11 @@ def gram_schmidt(sigma):
                 continue  # the residue class of h is dead
             v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
             tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
+            if tau == math.inf:
+                raise AmbiguousNorm(
+                    "candidate at height %d has a squared norm that overflows "
+                    "float64, so its zero threshold is inf" % h
+                )
             r = len(row)
             # two block CGS passes, then every slot's squared residual norm
             Qr, Qtr = Q[:, :r], Qt[:, :, :r]
@@ -292,15 +298,17 @@ def gram_schmidt(sigma):
 
 @functools.lru_cache(maxsize=64)
 def _perturbations(N, n):
-    """The gate's node and coefficient perturbation directions: replay k
-    draws g then G from default_rng(k)."""
-    g, G = np.empty((GATE_REPLAYS, N)), np.empty((GATE_REPLAYS, N, n))
+    """The gate's node factors and coefficient offsets for every slot:
+    1.0 and 0.0 for the input in slot 0, then 1 + GATE_STEP g and
+    GATE_STEP G for replay k in slot k + 1, which draws g then G from
+    default_rng(k)."""
+    factor, offset = np.ones((GATE_REPLAYS + 1, N)), np.zeros((GATE_REPLAYS + 1, N, n))
     for k in range(GATE_REPLAYS):
         rng = np.random.default_rng(k)
-        g[k] = rng.standard_normal(N)
-        G[k] = rng.standard_normal((N, n))
-    g.flags.writeable = G.flags.writeable = False
-    return g, G
+        factor[k + 1] += GATE_STEP * rng.standard_normal(N)
+        offset[k + 1] = GATE_STEP * rng.standard_normal((N, n))
+    factor.flags.writeable = offset.flags.writeable = False
+    return factor, offset
 
 
 def _gate(gs):

@@ -36,7 +36,8 @@ class SpringChain:
     k[0] and k[-1] are the wall springs.  kp[j-1] (1-based kp_j) couples
     body j-1 to body j+1; kp_1 therefore ties body 2 to the left wall
     and kp_N ties body N-1 to the right wall.  The virtual constants
-    kp_0 = kp_{N+1} = 0 used by the formulas are not stored.
+    kp_0 = kp_{N+1} = 0 used by the formulas are not stored.  A mass
+    must be a positive finite number, a spring a nonnegative finite one.
     """
 
     masses: tuple
@@ -59,11 +60,11 @@ class SpringChain:
                 "expected %d next-nearest springs, got %d" % (N, len(kp))
             )
         for j, m in enumerate(masses, start=1):
-            if m <= 0.0:
+            if not 0.0 < m < math.inf:
                 raise NonPositiveMass("mass %d is %r" % (j, m))
         for name, vals in (("k", k), ("kp", kp)):
             for j, v in enumerate(vals, start=1):
-                if v < 0.0:
+                if not 0.0 <= v < math.inf:
                     raise NegativeSpring("%s_%d is %r" % (name, j, v))
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "k", k)
@@ -78,6 +79,20 @@ class SpringChain:
         if j < 1 or j > self.N:
             return 0.0
         return self.kp[j - 1]
+
+
+def _root(p):
+    """sqrt(p) of a mass product p, or NaN if p underflowed to 0.0 or
+    overflowed to inf, so that the entry divided by it is refused."""
+    return math.sqrt(p) if 0.0 < p < math.inf else math.nan
+
+
+def _non_finite(g, j, v):
+    return NonFiniteEntry(
+        "entry d%d_%d of the mass-weighted matrix is %r: a mass product under "
+        "a root underflowed to 0.0 or overflowed, or a quotient overflowed"
+        % (g, j, v)
+    )
 
 
 def build_spring_matrix(chain):
@@ -101,21 +116,11 @@ def build_spring_matrix(chain):
         -(k[j] + chain._kp(j + 1) + k[j - 1] + chain._kp(j - 1)) / m[j - 1]
         for j in range(1, N + 1)
     )
-    # a root that underflows to 0.0 makes its entry nan, refused below
-    d1 = tuple(
-        k[j] / (math.sqrt(m[j - 1] * m[j]) or math.nan) for j in range(1, N)
-    )
-    d2 = tuple(
-        chain._kp(j + 1) / (math.sqrt(m[j - 1] * m[j + 1]) or math.nan)
-        for j in range(1, N - 1)
-    )
+    d1 = tuple(k[j] / _root(m[j - 1] * m[j]) for j in range(1, N))
+    d2 = tuple(chain._kp(j + 1) / _root(m[j - 1] * m[j + 1]) for j in range(1, N - 1))
     if not all(map(math.isfinite, d0 + d1 + d2)):
-        g, j, v = next((g, j, v) for g, d in enumerate((d0, d1, d2))
-                       for j, v in enumerate(d, start=1) if not math.isfinite(v))
-        raise NonFiniteEntry(
-            "entry d%d_%d of the mass-weighted matrix is %r: a root of a mass "
-            "product underflowed to 0.0, or a quotient overflowed" % (g, j, v)
-        )
+        raise _non_finite(*next((g, j, v) for g, d in enumerate((d0, d1, d2))
+                                for j, v in enumerate(d, start=1) if not math.isfinite(v)))
     n = min(2, N - 1)
     return BandMatrix(n, N, (d0, d1, d2)[: n + 1])
 
@@ -137,7 +142,8 @@ def continued_fraction_check(chain, j):
 
     Returns |LHS - RHS|; raises DivisionByZero when the denominator
     vanishes (k_{j+1} = kp_{j+1} = 0 produces this exactly) instead of
-    returning infinity.
+    returning infinity, and NonFiniteEntry, as build_spring_matrix
+    does, when one of the four entries is no finite float.
     """
     N = chain.N
     if j < 2 or j > N - 2:
@@ -145,11 +151,14 @@ def continued_fraction_check(chain, j):
             "need 2 <= j <= N-2, got j=%d with N=%d" % (j, N)
         )
     m, k, kp = chain.masses, chain.k, chain._kp
-    # the four entries, by build_spring_matrix's expressions
+    # the four entries, by build_spring_matrix's expressions and guard
     d0 = -(k[j] + kp(j + 1) + k[j - 1] + kp(j - 1)) / m[j - 1]
-    d1_j = k[j] / math.sqrt(m[j - 1] * m[j])
-    d2_j = kp(j + 1) / math.sqrt(m[j - 1] * m[j + 1])
-    d2_jm1 = kp(j) / math.sqrt(m[j - 2] * m[j])
+    d1_j = k[j] / _root(m[j - 1] * m[j])
+    d2_j = kp(j + 1) / _root(m[j - 1] * m[j + 1])
+    d2_jm1 = kp(j) / _root(m[j - 2] * m[j])
+    for g, i, v in ((0, j, d0), (1, j, d1_j), (2, j, d2_j), (2, j - 1, d2_jm1)):
+        if not math.isfinite(v):
+            raise _non_finite(g, i, v)
     lhs = (k[j] + kp(j)) / m[j]
     num = (
         d1_j * d1_j

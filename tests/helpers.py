@@ -485,9 +485,9 @@ def ref_gram_schmidt(sigma):
         raise DimensionMismatch(
             "need more jumps than components, got N=%d n=%d" % (N, n)
         )
-    g, G = _perturbations(N, n)
+    factor, offset = _perturbations(N, n)
     # slot 0 is the input, slot k > 0 its k-th perturbed copy
-    x = np.vstack((sigma.x, sigma.x * (1.0 + GATE_STEP * g)))
+    x = sigma.x * factor
     lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if scale[0, 0] == 0.0:
@@ -495,8 +495,7 @@ def ref_gram_schmidt(sigma):
         # cannot land here
         raise DimensionMismatch("all nodes coincide")
     y = ((x - center) / scale)[:, None, :]
-    alpha = np.concatenate((sigma.alpha[None], sigma.alpha + GATE_STEP * G))
-    consts_of = np.moveaxis(alpha, 2, 0)[:, :, None, :]  # values of e_{h+1}
+    consts_of = np.moveaxis(sigma.alpha + offset, 2, 0)[:, :, None, :]  # values of e_{h+1}
 
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
@@ -519,6 +518,11 @@ def ref_gram_schmidt(sigma):
                 continue  # the residue class of h is dead
             v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
             tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
+            if tau == math.inf:
+                raise AmbiguousNorm(
+                    "candidate at height %d has a squared norm that overflows "
+                    "float64, so its zero threshold is inf" % h
+                )
             r = len(row)
             v, c = _project(Q[:, :r], v)
             nrm = math.sqrt(float(np.vdot(v[0], v[0])))
@@ -589,12 +593,12 @@ def ref_replay(sigma, heights, k):
     one, with each decision pinned to the accepted heights.  Returns
     its dense matrix, mapped back to x, and its initial-value block."""
     n, N = sigma.n, sigma.N
-    g, G = _perturbations(N, n)
-    x = sigma.x * (1.0 + GATE_STEP * g[k:k + 1])
+    factor, offset = _perturbations(N, n)
+    x = sigma.x * factor[k + 1:k + 2]
     lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
     y = ((x - center) / scale)[:, None, :]
-    consts_of = np.moveaxis(sigma.alpha + GATE_STEP * G[k:k + 1], 2, 0)[:, :, None, :]
+    consts_of = np.moveaxis(sigma.alpha + offset[k + 1:k + 2], 2, 0)[:, :, None, :]
     Q = np.zeros((1, N, N))
     F = np.zeros((1, n, n))
     row = {}

@@ -160,6 +160,8 @@ def test_inverse_refuses_extreme_admissible_jump_numerically(tmp_path, capsys, a
     assert main(["inverse", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not an admissible" not in err
+    if alpha == (1e160, 0.0):  # |alpha|^2 overflows: no tau to be near
+        assert "within a factor 10" not in err and "overflows float64" in err
 
 
 def test_direct_summary_prints_identity_sum(tmp_path, capsys):
@@ -324,8 +326,14 @@ def test_spring_cf_check(tmp_path, capsys):
     # d0_2 = -(1e300 + 1) / 1e-300 overflows
     (((1.0, 1e-300), (1.0, 1.0, 1e300), (0.0, 0.0)),
      "entry d0_2 of the mass-weighted matrix is -inf"),
-], ids=["root-underflow", "overflow"])
-@pytest.mark.parametrize("flags", [[], ["--matrix"]], ids=["frequencies", "matrix"])
+    # m_1 m_2 overflows: sqrt(inf) would make d1_1 0.0
+    (((1e200, 1e200), (1.0, 1.0, 1.0), (0.0, 0.0)),
+     "entry d1_1 of the mass-weighted matrix is nan"),
+    (((1e200,) * 4, (1.0,) * 5, (1.0,) * 4),
+     "entry d1_1 of the mass-weighted matrix is nan"),
+], ids=["root-underflow", "overflow", "root-overflow", "heavy-four"])
+@pytest.mark.parametrize("flags", [[], ["--matrix"], ["--cf-check"]],
+                         ids=["frequencies", "matrix", "cf-check"])
 def test_spring_refuses_non_finite_entry(tmp_path, chain, entry, flags):
     path = write(tmp_path, "chain.json", fileio.dump_chain(bs.SpringChain(*chain)))
     proc = subprocess.run([sys.executable, "-m", "bandspec", "spring", path] + flags,

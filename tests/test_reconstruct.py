@@ -490,7 +490,7 @@ def test_gate_copies_run_independently(monkeypatch):
             sig = bs.transform_spectral_function(sig, bs.sampling.random_tinit(rng, n))
         runs.append((sig, bs.gram_schmidt(sig)))
     monkeypatch.setattr(module, "_perturbations", lambda N, n: (
-        np.zeros((module.GATE_REPLAYS, N)), np.zeros((module.GATE_REPLAYS, N, n))))
+        np.ones((module.GATE_REPLAYS + 1, N)), np.zeros((module.GATE_REPLAYS + 1, N, n))))
     for sig, want in runs:
         got = bs.gram_schmidt(sig)
         assert got.basis_heights == want.basis_heights

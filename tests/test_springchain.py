@@ -11,6 +11,7 @@ from bandspec.errors import (
     DivisionByZero,
     IndexOutOfRange,
     NegativeSpring,
+    NonFiniteEntry,
     NonPositiveMass,
 )
 
@@ -26,6 +27,14 @@ def test_chain_field_validation():
         bs.SpringChain((1.0, 1.0), (1.0, -0.5, 1.0), (0.0, 0.0))
     with pytest.raises(bs.errors.DimensionMismatch):
         bs.SpringChain((1.0, 1.0), (1.0, 1.0), (0.0, 0.0))
+    # a non-finite value is refused by name, never passed on to the matrix
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveMass, match="mass 2 is %r" % value):
+            bs.SpringChain((1.0, value), (1.0, 1.0, 1.0), (0.0, 0.0))
+        with pytest.raises(NegativeSpring, match="k_3 is %r" % value):
+            bs.SpringChain((1.0, 1.0), (1.0, 1.0, value), (0.0, 0.0))
+        with pytest.raises(NegativeSpring, match="kp_1 is %r" % value):
+            bs.SpringChain((1.0, 1.0), (1.0, 1.0, 1.0), (value, 0.0))
 
 
 def test_uniform_three_mass_matrix_exact():
@@ -175,6 +184,16 @@ def test_stiffness_identity_division_by_zero():
         (1.0, 1.0, 0.0, 0.0),
     )
     with pytest.raises(DivisionByZero):
+        bs.continued_fraction_check(chain, 2)
+
+
+@pytest.mark.parametrize("mass", [1e-200, 1e200], ids=["underflow", "overflow"])
+def test_stiffness_identity_refuses_non_finite_entry(mass):
+    # each product m_j m_{j+1} under a root leaves the float range
+    chain = bs.SpringChain((mass,) * 5, (1.0,) * 6, (1.0,) * 5)
+    with pytest.raises(NonFiniteEntry, match="^entry d1_1 of the mass-weighted matrix is nan"):
+        bs.build_spring_matrix(chain)
+    with pytest.raises(NonFiniteEntry, match="^entry d1_2 of the mass-weighted matrix is nan"):
         bs.continued_fraction_check(chain, 2)
 
 
