@@ -10,8 +10,9 @@ Three families matter to callers (and to the CLI exit-code mapping):
 * ``NumericalDecisionError`` - a tolerance-based decision could not be
   made safely, or the answer would not be accurate (ambiguous
   zero-norm test, iteration cap, an ill-conditioned reconstruction,
-  vanishing denominator, a weight or spring-chain entry lost to
-  underflow or overflow, a round trip off its tolerance).  CLI exit code 3.
+  vanishing denominator, a weight, spring-chain entry or stiffness
+  identity lost to underflow or overflow, a round trip off its
+  tolerance).  CLI exit code 3.
 """
 
 
@@ -141,10 +142,12 @@ class DivisionByZero(NumericalDecisionError):
 
 
 class NonFiniteEntry(NumericalDecisionError):
-    """An entry of a spring chain's mass-weighted matrix is no finite float."""
+    """An entry of a spring chain's mass-weighted matrix is no finite
+    float, or the stiffness-ratio identity on finite entries overflows,
+    so its residual is no finite float."""
 
 
 class RoundTripDeviation(NumericalDecisionError):
     """The matrix or the initial values that the inverse recovered from
-    a matrix's spectral function deviate from it by more than the
-    tolerance of ``bandspec roundtrip``."""
+    a matrix's spectral function deviate from it by more than the fixed
+    bound of ``bandspec roundtrip``, 1e-8."""

@@ -38,10 +38,6 @@ class RecurrenceTable:
     def n(self):
         return len(self.generators)
 
-    @property
-    def N(self):
-        return len(self.basis)
-
 
 def solve_recurrence(A, T):
     """Solve the band recurrence for all N positions.

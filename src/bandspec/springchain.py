@@ -140,10 +140,14 @@ def continued_fraction_check(chain, j):
     is |d0_j| - (k_j + kp_{j-1}) / m_j.  Requires 2 <= j <= N-2 so all
     referenced entries exist.
 
-    Returns |LHS - RHS|; raises DivisionByZero when the denominator
-    vanishes (k_{j+1} = kp_{j+1} = 0 produces this exactly) instead of
-    returning infinity, and NonFiniteEntry, as build_spring_matrix
-    does, when one of the four entries is no finite float.
+    Returns |LHS - RHS|, always a finite float.  Raises DivisionByZero
+    when the denominator vanishes (k_{j+1} = kp_{j+1} = 0 produces this
+    exactly) instead of returning infinity, NonFiniteEntry, as
+    build_spring_matrix does, when one of the four entries is no finite
+    float, and NonFiniteEntry naming j when the entries are finite but
+    the identity overflows while it is evaluated (the left side, a
+    mass-ratio root or the quotient), so the residual would be inf or
+    nan.
     """
     N = chain.N
     if j < 2 or j > N - 2:
@@ -171,4 +175,10 @@ def continued_fraction_check(chain, j):
         raise DivisionByZero(
             "denominator |d0_%d| - (k_%d + kp_%d)/m_%d vanishes" % (j, j, j - 1, j)
         )
-    return abs(lhs - num / den)
+    residual = abs(lhs - num / den)
+    if not math.isfinite(residual):
+        raise NonFiniteEntry(
+            "stiffness identity at j=%d gives residual %r: a term overflowed "
+            "while it was evaluated" % (j, residual)
+        )
+    return residual

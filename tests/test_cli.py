@@ -343,6 +343,21 @@ def test_spring_refuses_non_finite_entry(tmp_path, chain, entry, flags):
     assert "Traceback" not in proc.stderr and "nan" not in proc.stdout
 
 
+def test_spring_cf_check_refuses_overflowing_identity(tmp_path, capsys):
+    # the entries are finite, but the numerator term in d2_2 d2_1 overflows
+    chain = {"masses": [2.1071550212975667e-111, 9.162050999638212e-111,
+                        1.6042562583281628e-111, 2.3916263782868408e-126],
+             "k": [8.273887663403512e+121, 5.933212486314901e-70, 8.378644462500385e-59,
+                   6.891170584781037e+99, 9.485012630435352e+35],
+             "kp": [1.3900037189713395e-94, 2.779865047434555e-20,
+                    1.5022403283609527e+115, 4.0945398840303404e-38]}
+    path = write(tmp_path, "chain.json", json.dumps(chain))
+    assert main(["spring", path, "--cf-check"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: NonFiniteEntry: stiffness identity at j=2")
+    assert "inf" not in captured.out and "nan" not in captured.out
+
+
 def test_roundtrip_accepts_valid_matrix(tmp_path, capsys):
     rng = np.random.default_rng(4)
     A = bs.sampling.random_band_matrix(rng, 3, 8, j0=2)
@@ -439,17 +454,83 @@ def test_out_of_range_numbers_are_malformed(tmp_path, capsys, text):
     assert "InputError" in capsys.readouterr().err
 
 
+TWO_JUMPS = '[{"x": -1.0, "alpha": [0.5]}, {"x": 1.0, "alpha": [0.5]}]'
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["validate", "bad.json"], '[1.0, 2.0]',
+     "InputError: matrix file must contain a JSON object"),
+    (["validate", "bad.json"], '{"n": 1, "N": 2, "diags": [[0.0, "a"], [1.0]]}',
+     "InputError: matrix: diags[0] must be a number, got 'a'"),
+    (["validate", "bad.json"], '{"n": 1.0, "N": 2, "diags": [[0.0, 0.0], [1.0]]}',
+     "InputError: matrix: n must be an integer, got 1.0"),
+    (["validate", "bad.json"], '{"n": 1, "N": 2}',
+     "InputError: matrix: missing field 'diags'"),
+    (["spring", "bad.json"], '{"masses": 1.0, "k": [1.0, 1.0], "kp": [0.0]}',
+     "InputError: chain: masses must be an array"),
+    (["validate", "bad.json"], '{"n": 1, "N": 2, "diags": {"0": [0.0, 0.0]}}',
+     "InputError: matrix: diags must be an array of arrays"),
+    (["inverse", "bad.json"], '{"n": 1, "N": 2, "jumps": {}}',
+     "InputError: sigma: jumps must be an array"),
+    (["inverse", "bad.json"], '{"n": 1, "N": 3, "jumps": %s}' % TWO_JUMPS,
+     "InputError: sigma: N=3 but 2 jumps present"),
+    (["inverse", "bad.json"],
+     '{"n": 1, "N": 2, "jumps": [{"x": -1.0, "alpha": [0.5]}, [1.0, 0.5]]}',
+     "InputError: sigma: jumps[1] must be an object"),
+    (["inverse", "bad.json"], '{"n": 2, "N": 2, "jumps": %s}' % TWO_JUMPS,
+     "InputError: sigma: jumps[0].alpha has 1 entries, expected n=2"),
+    (["direct", "m37.json", "--tinit", "bad.json"], '{"n": 1, "rows": 1.0}',
+     "InputError: tinit: rows must be an array of arrays"),
+    (["validate", "missing.json"], None,
+     "InputError: cannot read matrix file 'missing.json': "),
+    (["direct", "m37.json", "-o", "no/such/dir/s.json"], None,
+     "InputError: cannot write 'no/such/dir/s.json': "),
+    (["validate", "bad.json"], '{"n": 1, "N": 2, "diags": [[0.0, 0.0]]}',
+     "DimensionMismatch: expected 2 diagonals, got 1"),
+    (["direct", "m37.json", "--tinit", "bad.json"],
+     '{"n": 2, "rows": [[1.0, 0.0]]}', "DimensionMismatch: expected 2 rows, got 1"),
+    (["direct", "m37.json", "--tinit", "bad.json"],
+     '{"n": 2, "rows": [[1.0, 0.0], [1.0]]}', "DimensionMismatch: row 1 has wrong length"),
+], ids=["not-an-object", "not-a-number", "not-an-integer", "missing-field",
+        "list-not-an-array", "diags-not-an-array", "jumps-not-an-array", "jump-count",
+        "jump-not-an-object", "alpha-length", "rows-not-an-array", "unreadable-input",
+        "unwritable-output", "diagonal-count", "row-count", "row-length"])
+def test_malformed_files_and_paths_are_named(tmp_path, capsys, monkeypatch,
+                                              argv, text, message):
+    # each refusal of the file readers exits 1 and names the field or path
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "m37.json", fileio.dump_matrix(seven_by_seven()))
+    if text is not None:
+        write(tmp_path, "bad.json", text)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
 def test_validate_rejects_diagonal_matrix_as_outside_class(tmp_path, capsys):
     path = write(tmp_path, "diagonal.json", '{"n": 0, "N": 2, "diags": [[1.0, 2.0]]}')
     assert main(["validate", path]) == 2
     assert "ValidationError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", [-1, 0])
-def test_sigma_without_components_is_malformed(tmp_path, capsys, n):
-    path = write(tmp_path, "empty.json", '{"n": %d, "N": 0, "jumps": []}' % n)
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"n": -1, "N": 0, "jumps": []}', "", id="-1"),
+    pytest.param('{"n": 0, "N": 0, "jumps": []}', "", id="0"),
+    # admissible for validate_sigma, but gram_schmidt needs N > n
+    pytest.param('{"n": 2, "N": 2, "jumps": [{"x": 0.0, "alpha": [1.0, 0.0]}, '
+                 '{"x": 1.0, "alpha": [0.0, 1.0]}]}',
+                 "need more jumps than components, got N=2 n=2", id="N=n=2"),
+    pytest.param('{"n": 3, "N": 2, "jumps": [{"x": 0.0, "alpha": [1.0, 0.0, 1.0]}, '
+                 '{"x": 1.0, "alpha": [0.0, 1.0, 1.0]}]}',
+                 "need more jumps than components, got N=2 n=3", id="N=2<n=3"),
+])
+def test_sigma_without_components_is_malformed(tmp_path, capsys, text, message):
+    path = write(tmp_path, "empty.json", text)
     assert main(["inverse", path]) == 1
-    assert "DimensionMismatch" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DimensionMismatch: " + message)
 
 
 def test_module_entry_point(tmp_path):
@@ -474,12 +555,16 @@ def test_module_entry_point(tmp_path):
     ["--perturb=-inf"],
 ], ids=" ".join)
 def test_roundtrip_refuses_non_finite_or_negative_options(tmp_path, capsys, argv):
-    # a bad --tol or --perturb is a usage error, not a class violation
+    # a bad --perturb is a usage error, not a class violation; --tol is
+    # gone (roundtrip checks the fixed bound 1e-8), like --tol-zero
     path = write(tmp_path, "m37.json", fileio.dump_matrix(seven_by_seven()))
     assert main(["roundtrip", path] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: argument %s: " % argv[0].split("=")[0] in captured.err
+    if argv[0] == "--tol":
+        assert "error: unrecognized arguments: --tol %s" % argv[1] in captured.err
+    else:
+        assert "error: argument %s: " % argv[0].split("=")[0] in captured.err
 
 
 @pytest.mark.parametrize("where", ["matrix", "tinit"])

@@ -101,14 +101,13 @@ TEXTS = [
       "                        output file for --matrix ('-' for stdout)\n"),
      ""),
     (['roundtrip', '--help'], 0,
-     ('usage: bandspec roundtrip [-h] [--tol TOL] [--perturb EPS] matrix_file\n'
+     ('usage: bandspec roundtrip [-h] [--perturb EPS] matrix_file\n'
       '\n'
       'positional arguments:\n'
       '  matrix_file\n'
       '\n'
       'options:\n'
       '  -h, --help     show this help message and exit\n'
-      '  --tol TOL      acceptance threshold (default 1e-8)\n'
       '  --perturb EPS  debug: bump the first jump coefficient by EPS between the two\n'
       '                 passes\n'),
      ""),
@@ -130,12 +129,17 @@ TEXTS = [
       'bandspec validate: error: the following arguments are required: matrix_file\n')),
     (['roundtrip'], 1,
      "",
-     ('usage: bandspec roundtrip [-h] [--tol TOL] [--perturb EPS] matrix_file\n'
+     ('usage: bandspec roundtrip [-h] [--perturb EPS] matrix_file\n'
       'bandspec roundtrip: error: the following arguments are required: matrix_file\n')),
+    # roundtrip checks the fixed bound 1e-8; --tol is gone like --tol-zero
     (['roundtrip', 'x.json', '--tol', 'abc'], 1,
      "",
-     ('usage: bandspec roundtrip [-h] [--tol TOL] [--perturb EPS] matrix_file\n'
-      "bandspec roundtrip: error: argument --tol: invalid number value: 'abc'\n")),
+     ('usage: bandspec [-h] {validate,direct,inverse,spring,roundtrip} ...\n'
+      'bandspec: error: unrecognized arguments: --tol abc\n')),
+    (['roundtrip', 'x.json', '--perturb', 'abc'], 1,
+     "",
+     ('usage: bandspec roundtrip [-h] [--perturb EPS] matrix_file\n'
+      "bandspec roundtrip: error: argument --perturb: invalid number value: 'abc'\n")),
 ]
 
 

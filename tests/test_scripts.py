@@ -1,0 +1,34 @@
+"""The experiment scripts still run against the library.
+
+A library change that breaks a script's imports or its use of a public
+name fails here, not when someone next runs the script.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bandspec as bs
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ENV = dict(os.environ, PYTHONPATH=str(Path(bs.__file__).resolve().parents[1]))
+
+
+@pytest.mark.parametrize("script", ["cli_phases.py", "inverse_fingerprint.py"])
+def test_script_help_exits_zero(script):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
+
+
+def test_completion_table_solves_its_first_case():
+    spec = importlib.util.spec_from_file_location("completion_table",
+                                                  SCRIPTS / "completion_table.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.outcome(1, 8, 0) is None

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 import bandspec as bs
 from bandspec.errors import (
@@ -195,6 +196,44 @@ def test_stiffness_identity_refuses_non_finite_entry(mass):
         bs.build_spring_matrix(chain)
     with pytest.raises(NonFiniteEntry, match="^entry d1_2 of the mass-weighted matrix is nan"):
         bs.continued_fraction_check(chain, 2)
+
+
+# every entry finite, but the numerator term in d2_2 d2_1 overflows to inf
+OVERFLOWING_IDENTITY = bs.SpringChain(
+    (2.1071550212975667e-111, 9.162050999638212e-111, 1.6042562583281628e-111,
+     2.3916263782868408e-126),
+    (8.273887663403512e+121, 5.933212486314901e-70, 8.378644462500385e-59,
+     6.891170584781037e+99, 9.485012630435352e+35),
+    (1.3900037189713395e-94, 2.779865047434555e-20, 1.5022403283609527e+115,
+     4.0945398840303404e-38),
+)
+
+
+def test_stiffness_identity_refuses_overflow_in_evaluation():
+    bs.build_spring_matrix(OVERFLOWING_IDENTITY)  # the matrix itself is finite
+    with pytest.raises(NonFiniteEntry, match="^stiffness identity at j=2 gives residual inf"):
+        bs.continued_fraction_check(OVERFLOWING_IDENTITY, 2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_stiffness_identity_is_finite_or_refused(data):
+    # wide-scale chains: each value u * 10^e, u in [0.5, 2), e in [-150, 150]
+    N = data.draw(st.integers(4, 9), label="N")
+
+    def values(count, zero=False):
+        return tuple(0.0 if zero and data.draw(st.booleans()) else
+                     data.draw(st.floats(0.5, 2.0, exclude_max=True))
+                     * 10.0 ** data.draw(st.integers(-150, 150))
+                     for _ in range(count))
+
+    chain = bs.SpringChain(values(N), values(N + 1, zero=True), values(N, zero=True))
+    for j in range(2, N - 1):
+        try:
+            res = bs.continued_fraction_check(chain, j)
+        except (NonFiniteEntry, DivisionByZero):
+            continue
+        assert type(res) is float and math.isfinite(res)
 
 
 def test_stiffness_identity_index_range():
