@@ -89,7 +89,7 @@ def __getattr__(name):
     if name in _HOME:
         _load()
         return globals()[name]
-    if name in _LIBRARY:
+    if name in _LIBRARY or name in ("cli", "fileio"):
         return _submodule(name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 

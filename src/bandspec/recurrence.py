@@ -107,11 +107,7 @@ def generator_matrix(table, z):
     this matrix vanishes exactly at the eigenvalues of the underlying
     band matrix.
     """
-    n = table.n
-    M = np.empty((n, n))
-    for i, q in enumerate(table.generators):
-        M[i, :] = vecpoly.evaluate(q, z)
-    return M
+    return np.array([vecpoly._values(q, z) for q in table.generators])
 
 
 def rank_defect(table, z):

@@ -208,7 +208,8 @@ def transform_spectral_function(sigma, T):
     values T: each coefficient vector becomes (T^t)^{-1} alpha, nodes
     unchanged.  Applying T^t (.) T to the transformed jumps recovers
     the originals.  Raises WeightOverflow when some (T^t)^{-1} alpha
-    is not finite (T nearly singular, a diagonal entry 1e-320, say)."""
+    is not finite (T nearly singular, a diagonal entry 1e-320, say),
+    or when T^t is singular in float64, where it overflows as well."""
     if T.n != sigma.n:
         raise DimensionMismatch(
             "initial values have size %d, spectral function has %d"
@@ -216,7 +217,11 @@ def transform_spectral_function(sigma, T):
         )
     # one single-vector solve per jump, stacked; a multi-column solve
     # would round differently
-    alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
+    try:
+        alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise WeightOverflow("initial values are singular in float64: "
+                             "(T^t)^-1 alpha overflows") from exc
     if not np.isfinite(alpha).all():
         k = int(np.isfinite(alpha).all(1).argmin())
         raise WeightOverflow("jump %d at x=%r: (T^t)^-1 alpha is not finite"
@@ -313,6 +318,7 @@ def jump_sum(sigma):
     return sum(alpha[:, :, None] * alpha[:, None, :], np.zeros((sigma.n, sigma.n)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Python floats overflow silently too
 def inner(sigma, r, s):
     """The degenerate inner product attached to a spectral function.
 
@@ -320,18 +326,13 @@ def inner(sigma, r, s):
     order with exactly rounded accumulation, so inner(sigma, r, s) and
     inner(sigma, s, r) are equal bit for bit.
     """
-    from .vecpoly import evaluate
+    from .vecpoly import _values
 
     if r.n != sigma.n or s.n != sigma.n:
         raise DimensionMismatch(
             "polynomials with %d and %d components against a spectral "
             "function with %d" % (r.n, s.n, sigma.n)
         )
-    products = []
-    for jump in sigma.jumps:
-        rv = evaluate(r, jump.x)
-        sv = evaluate(s, jump.x)
-        vr = math.fsum(a * v for a, v in zip(jump.alpha, rv))
-        vs = math.fsum(a * v for a, v in zip(jump.alpha, sv))
-        products.append(vr * vs)
-    return math.fsum(products)
+    vr, vs = ([math.fsum(row) for row in (sigma.alpha * _values(p, sigma.x)).tolist()]
+              for p in (r, s))
+    return math.fsum(np.multiply(vr, vs).tolist())

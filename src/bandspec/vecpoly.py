@@ -19,6 +19,8 @@ coefficients by itself.
 
 A VecPoly is a view of results, not engine arithmetic: ``recurrence``
 solves in one height-indexed array and hands its rows out as VecPolys.
+The library computes on ``coef`` alone, evaluation included; ``comps``,
+the per-component tuples, is the view for callers.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ from .errors import DimensionMismatch, MixedDimension
 #: Height of the zero vector polynomial.  A float so that it compares
 #: below every integer height and propagates through sums.
 NEG_INF = float("-inf")
-
-
-def _trim(coeffs):
-    """Drop trailing exact zeros, returning an ascending tuple."""
-    c = list(coeffs)
-    while c and c[-1] == 0.0:
-        c.pop()
-    return tuple(float(v) for v in c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +53,8 @@ class VecPoly:
     def comps(self):
         """Per-component ascending coefficient tuples; a zero component
         is the empty tuple."""
-        return tuple(_trim(self.coef[j::self.n]) for j in range(self.n))
+        return tuple(tuple(np.trim_zeros(self.coef[j::self.n], "b").tolist())
+                     for j in range(self.n))
 
     def is_zero(self):
         return len(self.coef) == 0
@@ -91,7 +86,7 @@ def vec_poly(components):
         One coefficient sequence per component.  Trailing exact zeros
         are trimmed; an empty sequence is the zero component.
     """
-    comps = [_trim(c) for c in components]
+    comps = [np.trim_zeros(np.fromiter(c, float), "b") for c in components]
     if not comps:
         raise DimensionMismatch("a vector polynomial needs at least one component")
     n = len(comps)
@@ -125,18 +120,24 @@ def height(p):
     return len(p.coef) - 1 if len(p.coef) else NEG_INF
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Python floats overflow silently too
+def _values(p, x):
+    """The n component values of p at each point of x, shape np.shape(x) + (n,):
+    Horner's rule on the rows of n same-degree coefficients, highest first."""
+    rows = np.concatenate((p.coef, np.zeros(-len(p.coef) % p.n))).reshape(-1, p.n)
+    x = np.asarray(x, dtype=float)[..., None]
+    acc = np.zeros(x.shape[:-1] + (p.n,))
+    for row in rows[::-1]:
+        acc = acc * x + row
+    return acc
+
+
 def evaluate(p, x):
     """Evaluate componentwise at a scalar, Horner form.
 
     Returns a tuple of p.n floats.
     """
-    out = []
-    for c in p.comps:
-        acc = 0.0
-        for v in reversed(c):
-            acc = acc * x + v
-        out.append(acc)
-    return tuple(out)
+    return tuple(_values(p, x).tolist())
 
 
 def linear_combine(terms):

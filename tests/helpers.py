@@ -14,6 +14,8 @@ same floating-point operations in the same order as the package, so the
 two must agree bit for bit.  The ref_* functions on spectral functions
 do the same for the direct problem, one jump at a time on (x, alpha)
 records, and ref_to_dense unpacks a band matrix entry by entry.
+ref_inner is the inner product evaluated that way, polynomial by
+polynomial and jump by jump.
 
 ref_validate_band decides class membership and the degeneration
 profile with one state machine per level; validate_band must raise the
@@ -137,6 +139,19 @@ def ref_evaluate(comps, x):
             acc = acc * x + v
         out.append(acc)
     return tuple(out)
+
+
+def ref_inner(sigma, r, s):
+    """inner with one ref_evaluate per polynomial and jump, and the same
+    exactly rounded sums."""
+    products = []
+    for jump in sigma.jumps:
+        rv = ref_evaluate(r.comps, jump.x)
+        sv = ref_evaluate(s.comps, jump.x)
+        vr = math.fsum(a * v for a, v in zip(jump.alpha, rv))
+        vs = math.fsum(a * v for a, v in zip(jump.alpha, sv))
+        products.append(vr * vs)
+    return math.fsum(products)
 
 
 def ref_linear_combine(terms):
@@ -317,7 +332,11 @@ def ref_transform_spectral_function(sigma, T):
             "initial values have size %d, spectral function has %d"
             % (T.n, sigma.n)
         )
-    alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
+    try:
+        alpha = np.linalg.solve(T.dense().T, sigma.alpha[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise WeightOverflow("initial values are singular in float64: "
+                             "(T^t)^-1 alpha overflows") from exc
     bad = np.flatnonzero(~np.all(np.isfinite(alpha), axis=1))
     if len(bad):
         raise WeightOverflow("jump %d at x=%r: (T^t)^-1 alpha is not finite"

@@ -126,14 +126,20 @@ def test_direct_identity_tinit_is_noop(tmp_path, capsys):
 
 
 def test_direct_refuses_overflowing_transformed_weight(tmp_path, capsys):
-    # T is admissible, but (T^t)^-1 alpha = alpha / 1e-320 overflows
-    A = bs.sampling.random_band_matrix(np.random.default_rng(2), 2, 6)
-    mfile = write(tmp_path, "m.json", fileio.dump_matrix(A))
-    tfile = write(tmp_path, "t.json", '{"n": 2, "rows": [[1e-320, 0.0], [0.0, 1.0]]}')
-    assert main(["direct", mfile, "--tinit", tfile]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: WeightOverflow: jump 1 at x=")
+    for seed, N, rows, err in [
+            # T is admissible, but (T^t)^-1 alpha = alpha / 1e-320 overflows
+            (2, 6, [[1e-320, 0.0], [0.0, 1.0]], "error: WeightOverflow: jump 1 at x="),
+            # T is admissible, but T^t is singular in float64: the solve fails
+            (0, 8, [[1e-300, 1e300], [0.0, 1e-300]],
+             "error: WeightOverflow: initial values are singular in float64")]:
+        A = bs.sampling.random_band_matrix(np.random.default_rng(seed), 2, N)
+        mfile = write(tmp_path, "m.json", fileio.dump_matrix(A))
+        tfile = write(tmp_path, "t.json", json.dumps({"n": 2, "rows": rows}))
+        assert main(["direct", mfile, "--tinit", tfile]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+        assert "Traceback" not in captured.err
 
 
 def test_direct_refuses_negative_tinit_diagonal(tmp_path, capsys):

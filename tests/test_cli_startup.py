@@ -4,8 +4,8 @@ command.
 The package imports its submodules lazily and the CLI imports each
 library name on first use, so a subcommand loads only the modules it
 runs; these tests pin those sets in fresh processes, the package's
-laziness and its `reconstruct` name, and the help and usage texts,
-which must not change while the parser is built per call.
+laziness and its `reconstruct` name, and the help and usage texts, which
+must not change.
 """
 
 import json
@@ -26,7 +26,7 @@ SRC = str(Path(bs.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
 
 # (argv, exit code, stdout, stderr), captured from `python -m bandspec`
-# with COLUMNS=80 under Python 3.11 before the parser was built lazily
+# with COLUMNS=80 under Python 3.11
 TEXTS = [
     ([], 1,
      "",
@@ -249,6 +249,22 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("bandspec."))))
 """)
     assert set(loaded) == {"bandspec." + m for m in ("errors", "vecpoly", "bandmat",
                                                      "spectral", "reconstruct")}
+
+
+@pytest.mark.parametrize("name", ["fileio", "cli"])
+def test_command_line_submodule_name_imports_it_alone(name):
+    assert fresh("""\
+import json, sys
+import bandspec
+module = getattr(bandspec, sys.argv[1])
+try:
+    bandspec.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([module is sys.modules["bandspec." + sys.argv[1]], "numpy" in sys.modules,
+                  unknown]))
+""", name) == [True, False, "module 'bandspec' has no attribute 'no_such_name'"]
 
 
 RECONSTRUCT_NAME = """\

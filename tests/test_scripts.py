@@ -5,6 +5,7 @@ name fails here, not when someone next runs the script.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,19 @@ def test_completion_table_solves_its_first_case():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.outcome(1, 8, 0) is None
+
+
+def test_fingerprint_write_mode_covers_every_case(tmp_path):
+    # write mode alone calls some public names (merged_jump_matrices,
+    # random_jacobi, ...); a file compared with itself agrees everywhere
+    out = tmp_path / "fingerprint.jsonl"
+    script = str(SCRIPTS / "inverse_fingerprint.py")
+    proc = subprocess.run([sys.executable, script, str(out)], env=ENV,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == 433
+    assert all("case" in row for row in rows)
+    proc = subprocess.run([sys.executable, script, "--compare", str(out), str(out)],
+                          env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -483,6 +483,48 @@ def test_inner_is_bit_exact_symmetric(data):
     assert bs.inner(sig, r, s) == bs.inner(sig, s, r)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_inner_and_generator_matrix_match_per_jump_reference(data):
+    """inner and generator_matrix, which evaluate on coefficient arrays,
+    agree bit for bit with the per-component, per-jump references on
+    recurrence output under random initial values, and warn of no
+    overflow at finite points however large."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    N = data.draw(st.integers(min_value=n + 1, max_value=19))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = bs.sampling.random_band_matrix(rng, n, N)
+    T = bs.sampling.random_tinit(rng, n)
+    table = bs.solve_recurrence(A, T)
+    sig = bs.transform_spectral_function(bs.canonical_spectral_function(A), T)
+    polys = table.basis[:6] + table.generators
+    z = data.draw(st.one_of(
+        st.sampled_from([0.0, -0.0, -1.7, 2.3, float(sig.x[0]), 1e150, -1e200]),
+        st.floats(min_value=-10.0, max_value=10.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in polys:
+            for s in polys:
+                assert (helpers.bits(bs.inner(sig, r, s))
+                        == helpers.bits(helpers.ref_inner(sig, r, s)))
+        M = bs.generator_matrix(table, z)
+    want = [helpers.ref_evaluate(q.comps, z) for q in table.generators]
+    assert M.tobytes() == np.array(want).tobytes()
+
+
+def test_inner_overflows_silently_like_reference():
+    # at the node 1e200, the product of the two dot products of z e_2
+    # overflows, and so does the value of z^2 e_1, which alpha's zero
+    # entry then multiplies to nan
+    sig = bs.SpectralFunction(2, [(1.0, (1.0, 0.5)), (1e200, (0.0, 1.0))])
+    polys = [bs.basis_vector(4, 2), bs.basis_vector(5, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [bs.inner(sig, p, p) for p in polys]
+    assert helpers.bits(got) == helpers.bits([helpers.ref_inner(sig, p, p) for p in polys])
+    assert math.isinf(got[0]) and math.isnan(got[1])
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_own_matches_per_jump_canonical_form(data):

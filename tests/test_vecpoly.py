@@ -1,6 +1,7 @@
 """Vector polynomial arithmetic and the height grading."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,11 @@ def test_array_layout_matches_component_reference(data):
             helpers.ref_trim_small(ref, rel))
         assert helpers.bits(bs.evaluate(p, x)) == helpers.bits(
             helpers.ref_evaluate(ref, x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow gives inf or nan silently
+            far = [bs.evaluate(p, big) for big in (1e200, -1e200)]
+        assert helpers.bits(far) == helpers.bits(
+            [helpers.ref_evaluate(ref, big) for big in (1e200, -1e200)])
         again = bs.vec_poly(p.comps)
         assert again == p and hash(again) == hash(p)
         # a zero's sign is no part of the value
