@@ -5,11 +5,13 @@ For N in {8, 12, 16, 24, 32, 48, 64} it draws 24 random band matrices
 with half bandwidth drawn uniformly from 1..min(8, N-2), and runs
 `reconstruct` on each canonical spectral function.  A run counts when
 it returns the input matrix within 1e-8 and its exact profile.  Prints
-the counts as a markdown table, then every run that returned a wrong
-matrix without refusing.
+the counts as a markdown table, the refusals by class, then every run
+that returned a wrong matrix without refusing.
 
     python3 scripts/completion_table.py
 """
+
+import collections
 
 import numpy as np
 
@@ -38,7 +40,7 @@ def outcome(mixed, N, rep):
 def main():
     print("| N  | " + " | ".join(FAMILIES) + " |")
     print("|----|" + "|".join("-" * (len(h) + 2) for h in FAMILIES) + "|")
-    wrong = []
+    wrong, refused = [], collections.Counter()
     for N in SIZES:
         row = []
         for mixed in (0, 1):
@@ -49,9 +51,13 @@ def main():
                     ok += 1
                 elif isinstance(res, float):
                     wrong.append((N, rep, mixed, res))
+                else:
+                    refused[res] += 1
             row.append(str(ok))
         print("| %-2d | " % N + " | ".join(c.ljust(len(h)) for c, h in zip(row, FAMILIES)) + " |")
     runs = len(SIZES) * len(FAMILIES) * DRAWS
+    print("\nrefusals: " + ", ".join("%d %s" % (count, name)
+                                     for name, count in refused.most_common()))
     print("\n%d of %d runs returned a wrong matrix without refusing" % (len(wrong), runs))
     for N, rep, mixed, dev in wrong:
         print("  seed (%d, %d, %d)  deviation %.3g" % (N, rep, mixed, dev))

@@ -12,8 +12,9 @@ condition estimate `cond` of `gram_schmidt` in hex.  The vector
 polynomials are not written: they follow from the matrix, the initial
 values and the profile through `solve_recurrence`.  Compare mode reads
 two such files and prints, per field, how many cases differ and the
-names of the first SHOWN of them, plus the largest absolute difference
-in the matrix; it exits 1 when any field
+names of the first SHOWN of them, then how many cases moved from each
+refusal class (or "returned") to each other, plus the largest absolute
+difference in the matrix; it exits 1 when any field
 differs in any case and 0 when the two files agree in every field, so
 it is the bit-identity check on its own.
 
@@ -70,6 +71,7 @@ Only write mode imports `bandspec`; `--compare` runs without it.
 """
 
 import argparse
+import collections
 import json
 
 import numpy as np
@@ -324,6 +326,12 @@ def compare(path_a, path_b):
             print("      " + case)
         if len(differ[f]) > SHOWN:
             print("      ... and %d more" % (len(differ[f]) - SHOWN))
+    moves = collections.Counter(
+        (ra.get("refusal", "returned"), rb.get("refusal", "returned"))
+        for ra, rb in zip(rows_a, rows_b) if ra.get("refusal") != rb.get("refusal"))
+    print("refusal class changes: %d" % sum(moves.values()))
+    for (a, b), count in sorted(moves.items()):
+        print("  %s -> %s: %d" % (a, b, count))
     print("largest absolute matrix difference: %r" % gap)
     return not any(differ.values())
 

@@ -124,7 +124,9 @@ class AmbiguousNorm(NumericalDecisionError):
 class IllConditioned(NumericalDecisionError):
     """The perturbed replays of a reconstruction moved the matrix or the
     initial values too far: the condition estimate times eps exceeds
-    the accuracy bound, so the answer cannot be trusted."""
+    the accuracy bound, so the answer cannot be trusted.  The estimate
+    over the matrix rows final so far is checked during the run too;
+    the message names how many rows it read and the margin."""
 
 
 class WeightUnderflow(NumericalDecisionError):
@@ -144,7 +146,8 @@ class DivisionByZero(NumericalDecisionError):
 class NonFiniteEntry(NumericalDecisionError):
     """An entry of a spring chain's mass-weighted matrix is no finite
     float, or the stiffness-ratio identity on finite entries overflows,
-    so its residual is no finite float."""
+    so its residual is no finite float; or the generators of a
+    recurrence overflow at the point where rank_defect evaluates them."""
 
 
 class RoundTripDeviation(NumericalDecisionError):

@@ -34,11 +34,14 @@ GATE_REPLAYS seeded perturbations of the input in the same loop, with
 every decision taken on the input and pinned for the copies: the nodes
 by a relative GATE_STEP, the coefficient vectors by an absolute
 GATE_STEP (eigh gives eigenvector entries an absolute error).  The
-largest change of the dense matrix or of the initial values, divided
-by GATE_STEP, estimates the condition number (small-sample statistical
+largest change of the matrix or of the initial values, divided by
+GATE_STEP, estimates the condition number (small-sample statistical
 condition estimation, Kenney & Laub, SIAM J. Sci. Comput. 15, 1994).
-An estimate times the machine epsilon above GATE_BOUND raises
-IllConditioned.
+The matrix entries are the loop's first-pass coefficients <p_j, y p_m>
+of each candidate y p_m, final once computed.  An estimate times the
+machine epsilon above GATE_BOUND raises IllConditioned, and reconstruct
+raises it mid-run once the rows final so far cross the bound, which the
+estimate over all rows would then cross too.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ GATE_REPLAYS = 5
 GATE_STEP = 1e-10
 GATE_BOUND = 1e-8
 
+#: Final rows of the matrix at a gated run's first look at its partial
+#: estimate (or N / 2 if more), and between later looks.
+_CHECK_FROM = 32
+_CHECK_EVERY = 8
+
 
 @dataclass(frozen=True, eq=False)
 class Orthogonalization:
@@ -90,8 +98,8 @@ class Orthogonalization:
     of first_block holds the constants of the member at height h < n
     (zeros if that height fell into the zero class).  iterations counts
     the heights consumed, including those skipped in dead residue
-    classes.  cond is the gate's condition estimate of the run (NaN if
-    a perturbed copy broke down).
+    classes.  cond is the gate's condition estimate of the run, over
+    every row of the matrix (NaN if a perturbed copy broke down).
     """
 
     basis_heights: tuple
@@ -145,7 +153,7 @@ def height_degeneration_indices(gs):
     return tuple(m)
 
 
-def gram_schmidt(sigma):
+def gram_schmidt(sigma, gate=None):
     """Orthonormalize the candidates of band Lanczos against sigma, and
     estimate the condition of the run.
 
@@ -162,15 +170,22 @@ def gram_schmidt(sigma):
 
     The gate's perturbed copies (see the module docstring) are slots
     stacked behind the input's, which alone decides for all of them.
-    cond is the largest entry change of the dense matrix (out-of-band
-    entries included) or of first_block over the copies, divided by
-    GATE_STEP; NaN if a copy broke down.
+    cond is the largest change over the copies of first_block or of an
+    entry (m, j), j <= m, of the matrix, out-of-band entries included,
+    divided by GATE_STEP; NaN if a copy broke down.  Entry (m, j) is
+    the first-pass coefficient <p_j, y p_m> of the candidate y p_m,
+    mapped back to x.
 
     Parameters
     ----------
     sigma : SpectralFunction
         Must satisfy validate_sigma; callers that skip validation get
         undefined error types.
+    gate : callable, optional
+        Called with (cond, rows, N), cond the estimate over the initial
+        values and the first rows of the matrix, once max(32, N // 2)
+        rows are final, every 8 rows after, and at the end (rows = N);
+        it may raise to stop the run.
 
     Returns
     -------
@@ -207,12 +222,31 @@ def gram_schmidt(sigma):
     consts_of = alpha.transpose(2, 0, 1)[:, :, None, :]  # values of e_{h+1}
 
     cap = n * (N - n + 1) + 1
-    Q = np.zeros((GATE_REPLAYS + 1, N, N))
+    # row m of P: the first-pass coefficients <Q_j, y Q_m>, j < r, of the
+    # candidate y Q_m, entries (m, j) of every slot's scaled matrix; one
+    # allocation for both (two page-faulted on every call at N = 64)
+    Q, P = np.zeros((2, GATE_REPLAYS + 1, N, N))
     Qt = Q.swapaxes(1, 2)  # a view: it sees every row stored later
     F = np.zeros((GATE_REPLAYS + 1, n, n))
     row = {}  # accepted height -> its row of Q
     gheights, first, consts = [], [], np.zeros((n, n))
     h = -1
+    check = max(_CHECK_FROM, N // 2) if gate else N  # rows of P at the next look
+    done, worst = 0, 0.0  # rows of P in worst, and their largest change
+
+    def estimate(rows):
+        """cond over the initial values and rows 0 .. rows - 1 of P."""
+        nonlocal done, worst
+        if not done:
+            worst = np.abs(F[1:] - consts).max()
+        A = P[:, done:rows] * scale[:, :, None]
+        A.reshape(len(A), -1)[:, done::N + 1] += center  # the diagonal
+        A[1:] -= A[0]  # each copy's change, in place
+        np.abs(A[1:], out=A[1:])
+        A[1:] *= _lower(N)[done:rows]  # each pair once
+        worst, done = np.maximum(worst, A[1:].max()), rows
+        return float(worst) / GATE_STEP
+
     # a copy that breaks down shows as NaN in cond; the input's slot
     # never divides by a norm below 10 tau
     with np.errstate(all="ignore"):
@@ -223,9 +257,16 @@ def gram_schmidt(sigma):
                     "consumed %d heights (cap %d) with %d basis members and "
                     "%d generators" % (h + 1, cap, len(row), len(gheights))
                 )
-            if h >= n and h - n not in row:
-                continue  # the residue class of h is dead
-            v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
+            if h < n:
+                v = consts_of[h]
+            else:
+                m = row.get(h - n)
+                if m is None:
+                    continue  # the residue class of h is dead
+                if m == check:  # rows 0 .. m - 1 of P are final
+                    gate((estimate(m), m, N))
+                    check += _CHECK_EVERY
+                v = y * Q[:, m, None]
             tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
             if tau == math.inf:
                 raise AmbiguousNorm(
@@ -233,9 +274,9 @@ def gram_schmidt(sigma):
                     "float64, so its zero threshold is inf" % h
                 )
             r = len(row)
-            # two block CGS passes, then every slot's squared residual norm
             Qr, Qtr = Q[:, :r], Qt[:, :, :r]
-            p = v @ Qtr
+            p = v @ Qtr if h < n else np.matmul(v, Qtr, out=P[:, m, None, :r])
+            # two block CGS passes, then every slot's squared residual norm
             v = v - p @ Qr
             q = v @ Qtr
             v -= q @ Qr
@@ -276,12 +317,9 @@ def gram_schmidt(sigma):
                 "every residue class died with %d of %d basis members"
                 % (len(row), N)
             )
-        A = (Q * y) @ Qt
-        A *= scale[:, :, None]
-        A.reshape(len(A), -1)[:, ::N + 1] += center  # the diagonals
-        A[1:] -= A[0]  # each copy's change, in place
-        F[1:] -= consts
-        change = np.maximum(np.abs(A[1:], out=A[1:]).max(), np.abs(F[1:]).max())
+        cond = estimate(N)
+    if gate:
+        gate((cond, N, N))
     values = Q[0].copy()
     values.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
@@ -292,7 +330,7 @@ def gram_schmidt(sigma):
         node_center=float(center[0, 0]),
         values=values,
         first_block=consts,
-        cond=float(change) / GATE_STEP,
+        cond=cond,
     )
 
 
@@ -311,23 +349,37 @@ def _perturbations(N, n):
     return factor, offset
 
 
-def _gate(gs):
+@functools.lru_cache(maxsize=64)
+def _lower(N):
+    """Ones on and below the diagonal of an N x N array, zeros above."""
+    tri = np.tri(N)
+    tri.flags.writeable = False
+    return tri
+
+
+def _gate(estimate):
     """Refuse a run whose answer the input data do not determine to the
-    accuracy bound: gs.cond, the condition estimate of the run on sigma
-    (see gram_schmidt), times the machine epsilon must not exceed
-    GATE_BOUND.
+    accuracy bound: cond, the condition estimate over the first rows of
+    the N rows of the matrix, estimate = (cond, rows, N) (see
+    gram_schmidt), times the machine epsilon must not exceed GATE_BOUND.
 
     Raises
     ------
     IllConditioned
         cond * eps exceeds GATE_BOUND, or a perturbed copy broke down.
     """
-    cond, eps = gs.cond, float(np.finfo(float).eps)
+    cond, rows, N = estimate
+    eps = float(np.finfo(float).eps)
+    if cond != cond:
+        raise IllConditioned(
+            "condition estimate nan after %d of %d rows: a perturbed copy "
+            "of the input broke down" % (rows, N)
+        )
     if not cond * eps <= GATE_BOUND:
         raise IllConditioned(
-            "condition estimate %.3g: cond * eps = %.3g exceeds the bound "
-            "%g, so the input does not determine the matrix to that "
-            "accuracy in double precision" % (cond, cond * eps, GATE_BOUND)
+            "condition estimate %.3g after %d of %d rows: cond * eps = %.3g "
+            "exceeds the bound %g by %.3gx"
+            % (cond, rows, N, cond * eps, GATE_BOUND, cond * eps / GATE_BOUND)
         )
 
 
@@ -413,8 +465,8 @@ def initial_conditions(gs):
 def reconstruct(sigma):
     """Full inverse problem: spectral function to band matrix.
 
-    Validates sigma, orthogonalizes, gates the run on its condition
-    estimate, extracts the matrix and the initial-value matrix, and
+    Validates sigma, orthogonalizes while gating the run on its
+    condition estimate, extracts the matrix and the initial-value matrix, and
     cross-checks the degeneration profile found in the matrix's zero
     pattern against the one implied by the generator heights.
 
@@ -427,15 +479,15 @@ def reconstruct(sigma):
     IllConditioned
         The conditioning gate estimates that the input does not
         determine the matrix or the initial values to the accuracy
-        bound; raised before any band or profile check.
+        bound; raised before any band or profile check, mid-run once
+        the matrix rows final so far cross the bound.
     ProfileMismatch
         The reconstructed matrix's zero pattern disagrees with the
         height-derived degeneration indices (or fails band validation
         outright).
     """
     validate_sigma(sigma)
-    gs = gram_schmidt(sigma)
-    _gate(gs)
+    gs = gram_schmidt(sigma, _gate)
     A = matrix_from_basis(sigma, gs)
     try:
         profile = validate_band(A)

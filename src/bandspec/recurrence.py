@@ -10,11 +10,12 @@ the rows of one float64 array indexed by height.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteEntry
 from . import vecpoly
 from .bandmat import validate_band
 
@@ -120,14 +121,28 @@ def rank_defect(table, z):
     eigenvalue whose multiplicity equals n), where any purely relative
     rule would mistake rounding noise for rank.  At an eigenvalue the defect
     equals the eigenspace dimension; away from the spectrum it is zero.
+
+    Raises
+    ------
+    NonFiniteEntry
+        The generator matrix or the coefficient mass at z is not finite
+        (z itself, or a power of |z| that overflows float64).
     """
     M = generator_matrix(table, z)
     base = max(1.0, abs(z))
     mass = 0.0
-    for q in table.generators:
-        for c in q.comps:
-            # sum adds left to right, in ascending degree
-            mass = max(mass, sum(abs(v) * base ** d for d, v in enumerate(c)))
+    try:
+        for q in table.generators:
+            for c in q.comps:
+                # sum adds left to right, in ascending degree
+                mass = max(mass, sum(abs(v) * base ** d for d, v in enumerate(c)))
+    except OverflowError:  # float ** int raises where numpy would give inf
+        mass = math.inf
+    if not (math.isfinite(mass) and np.isfinite(M).all()):
+        raise NonFiniteEntry(
+            "the generators at z = %r are not finite in float64 (generator "
+            "matrix or coefficient mass), so their rank is undefined" % z
+        )
     svals = np.linalg.svd(M, compute_uv=False)
     thresh = RANK_DEFECT_TOL * max(float(svals[0]), mass)
     return table.n - int(np.count_nonzero(svals > thresh))

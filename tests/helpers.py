@@ -31,11 +31,12 @@ eigh, before their numpy calls were cut: np.array_equal, np.triu and
 one array per diagonal, among others.  The stages must agree with them
 bit for bit, refusals included, class and message.
 
-ref_replay runs one of the conditioning gate's perturbed copies on its
-own, with every decision pinned to the input's heights, and
-ref_gate_cond takes the gate's condition estimate over those lone
-runs; gram_schmidt runs all copies in one stacked loop and must agree
-bit for bit.
+ref_replay runs the input or one of the conditioning gate's perturbed
+copies on its own, through every height the input consumed, with every
+decision pinned to the input's, and returns the matrix read off its
+first-pass coefficients; ref_gate_cond takes the gate's condition
+estimate over those lone runs.  gram_schmidt runs all copies in one
+stacked loop and must agree bit for bit.
 
 ref_random_band_matrix, ref_random_tinit and ref_random_chain draw
 an instance with one scalar rng.uniform call per entry; the samplers
@@ -486,13 +487,19 @@ def ref_validate_band(A):
 
 def _project(Q, v):
     """Two block classical Gram-Schmidt passes of the rows v against the
-    rows of Q (both with the same leading axes); returns the residual and
-    the summed coefficients of both passes."""
+    rows of Q (both with the same leading axes); returns the residual,
+    the summed coefficients of both passes and those of the first."""
     Qt = Q.swapaxes(-1, -2)
     p = v @ Qt
     v = v - p @ Q
     q = v @ Qt
-    return v - q @ Q, p + q
+    return v - q @ Q, p + q, p
+
+
+def _ref_change(A, A0):
+    """Largest |A - A0| on and below the diagonal of the last two axes;
+    the entries above it count zero, their pairs are counted below."""
+    return np.max(np.tri(A.shape[-1]) * np.abs(A - A0))
 
 
 def ref_gram_schmidt(sigma):
@@ -519,6 +526,7 @@ def ref_gram_schmidt(sigma):
     total_height = N * n + n * (n - 1) // 2
     cap = n * (N - n + 1) + 1
     Q = np.zeros((GATE_REPLAYS + 1, N, N))
+    P = np.zeros_like(Q)  # row m: first-pass coefficients of y Q_m
     F = np.zeros((GATE_REPLAYS + 1, n, n))
     row = {}  # accepted height -> its row of Q
     gheights, block = [], []
@@ -543,7 +551,9 @@ def ref_gram_schmidt(sigma):
                     "float64, so its zero threshold is inf" % h
                 )
             r = len(row)
-            v, c = _project(Q[:, :r], v)
+            v, c, p = _project(Q[:, :r], v)
+            if h >= n:
+                P[:, row[h - n], :r] = p[:, 0]
             nrm = math.sqrt(float(np.vdot(v[0], v[0])))
             if nrm > 10.0 * tau:
                 if r == N:
@@ -589,10 +599,8 @@ def ref_gram_schmidt(sigma):
         first.append(linear_combine([(1.0 / nrm, cand)]))
         consts[:b + 1, b] = first[-1].coef
     with np.errstate(all="ignore"):
-        A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
-        A += center[:, :, None] * np.eye(N)
-        change = np.max((np.max(np.abs(A[1:] - A[0])),
-                         np.max(np.abs(F[1:] - consts))))
+        A = scale[:, :, None] * P + center[:, :, None] * np.eye(N)
+        change = np.max((_ref_change(A[1:], A[0]), np.max(np.abs(F[1:] - consts))))
     values = Q[0].copy()
     values.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
@@ -607,10 +615,13 @@ def ref_gram_schmidt(sigma):
     )
 
 
-def ref_replay(sigma, heights, k):
-    """The gate's perturbed copy k of sigma run alone, as a stack of
-    one, with each decision pinned to the accepted heights.  Returns
-    its dense matrix, mapped back to x, and its initial-value block."""
+def ref_replay(sigma, gs, k):
+    """Slot k + 1 of the gate's stack run alone (k = -1 is the input,
+    k >= 0 its perturbed copy k), as a stack of one, through every
+    height the run gs consumed, generator candidates included, with
+    each decision pinned to gs.  Returns the first-pass coefficients
+    <Q_j, y Q_m> of each candidate y Q_m, in row m and mapped back to x
+    with the slot's own node frame, and the initial-value block."""
     n, N = sigma.n, sigma.N
     factor, offset = _perturbations(N, n)
     x = sigma.x * factor[k + 1:k + 2]
@@ -619,11 +630,18 @@ def ref_replay(sigma, heights, k):
     y = ((x - center) / scale)[:, None, :]
     consts_of = np.moveaxis(sigma.alpha + offset[k + 1:k + 2], 2, 0)[:, :, None, :]
     Q = np.zeros((1, N, N))
+    P = np.zeros((1, N, N))
     F = np.zeros((1, n, n))
     row = {}
-    for r, h in enumerate(heights):
+    accepted = set(gs.basis_heights)
+    for h in sorted(accepted | set(gs.generator_heights)):
+        r = len(row)
         v = consts_of[h] if h < n else y * Q[:, row[h - n], None]
-        v, c = _project(Q[:, :r], v)
+        v, c, p = _project(Q[:, :r], v)
+        if h >= n:
+            P[:, row[h - n], :r] = p[:, 0]
+        if h not in accepted:
+            continue
         nrm = np.sqrt(v @ v.swapaxes(1, 2))
         Q[:, r] = (v / nrm)[:, 0]
         if h < n:
@@ -632,24 +650,22 @@ def ref_replay(sigma, heights, k):
             col[:, h] += 1.0
             F[:, :, h] = col / nrm[:, 0]
         row[h] = r
-    A = scale[:, :, None] * ((Q * y) @ Q.swapaxes(1, 2))
-    A += center[:, :, None] * np.eye(N)
+    A = scale[:, :, None] * P + center[:, :, None] * np.eye(N)
     return A[0], F[0]
 
 
 def ref_gate_cond(sigma, gs):
-    """The gate's condition estimate of the run gs on sigma, each copy
-    replayed alone: the largest entry change of the dense matrix or of
-    the initial values over the copies, divided by GATE_STEP, against
-    the matrix built from gs.values and gs.first_block."""
-    y = (sigma.x - gs.node_center) / gs.node_scale
-    V = gs.values
-    A0 = gs.node_scale * ((V * y) @ V.T) + gs.node_center * np.eye(len(y))
+    """The gate's condition estimate of the run gs on sigma, the input
+    and each copy replayed alone: the largest change, over the copies,
+    of an entry on or below the diagonal of the matrix read off the
+    first-pass coefficients, or of the initial values against
+    gs.first_block, divided by GATE_STEP."""
     changes = []
     with np.errstate(all="ignore"):
+        A0, _ = ref_replay(sigma, gs, -1)
         for k in range(GATE_REPLAYS):
-            A, F = ref_replay(sigma, gs.basis_heights, k)
-            changes += [np.max(np.abs(A - A0)), np.max(np.abs(F - gs.first_block))]
+            A, F = ref_replay(sigma, gs, k)
+            changes += [_ref_change(A, A0), np.max(np.abs(F - gs.first_block))]
     return float(np.max(changes)) / GATE_STEP
 
 

@@ -1,5 +1,8 @@
 """Band matrix validation, the recurrence, and generator diagnostics."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from bandspec.errors import (
     LeadingZero,
     NegativeConstrainedEntry,
     NonContiguousPositiveRun,
+    NonFiniteEntry,
     NotTriangular,
 )
 
@@ -378,6 +382,20 @@ def test_rank_defect_of_vanishing_generators():
         table = bs.RecurrenceTable(basis=(), generators=(zero,) * n)
         assert bs.rank_defect(table, 0.0) == n
         assert bs.rank_defect(table, -2.5) == n
+
+
+def test_rank_defect_refuses_non_finite_generators():
+    # a power of |z| that overflows, an infinite z and a NaN z: a typed
+    # numerical refusal naming z, not OverflowError or LinAlgError
+    A = bs.sampling.random_band_matrix(np.random.default_rng(0), 2, 8)
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2))
+    for z in (1e100, -1e80, 1e200, math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteEntry, match=r"the generators at z = %s are not "
+                           "finite" % re.escape(repr(z))):
+            bs.rank_defect(table, z)
+    evals = np.linalg.eigvalsh(bs.to_dense(A))
+    assert all(bs.rank_defect(table, float(v)) == 1 for v in evals)
+    assert bs.rank_defect(table, 0.5 * float(evals[0] + evals[1])) == 0
 
 
 def interleaved_double_jacobi():

@@ -272,6 +272,22 @@ def test_inverse_refuses_ill_conditioned_sigma(tmp_path, capsys):
     assert not (tmp_path / "back.json").exists()
 
 
+def test_inverse_refusal_names_rows_and_margin(tmp_path, capsys):
+    # the gate's message reaches stderr whole, with exit 3: this draw
+    # crosses the bound on the rows final after 40 of 64
+    A = bs.sampling.random_band_matrix(np.random.default_rng((2, 3, 64)), 3, 64)
+    sig = bs.canonical_spectral_function(A)
+    path = write(tmp_path, "ill.json", fileio.dump_sigma(sig))
+    assert main(["inverse", path]) == 3
+    captured = capsys.readouterr()
+    with pytest.raises(bs.errors.IllConditioned) as want:
+        bs.reconstruct(sig)
+    assert captured.out == ""
+    assert captured.err == "error: IllConditioned: %s\n" % want.value
+    assert " after 40 of 64 rows: cond * eps = " in captured.err
+    assert "exceeds the bound 1e-08 by " in captured.err
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     # exit 2 means input outside the class; a bad command line, such
     # as an unknown option, is malformed input

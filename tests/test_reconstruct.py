@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -520,6 +521,127 @@ def test_gate_cond_matches_copies_run_alone(data):
     except NumericalDecisionError:
         return
     assert gs.cond.hex() == helpers.ref_gate_cond(sig, gs).hex()
+
+
+#: an IllConditioned message: the estimate, the rows it read, and the margin
+GATE_MESSAGE = (r"condition estimate (\S+) after (\d+) of (\d+) rows: cond \* eps = (\S+) "
+                r"exceeds the bound 1e-08 by (\S+)x")
+
+
+def _gate_message(exc):
+    """The numbers of an IllConditioned message, checked against each
+    other: (cond, rows, N)."""
+    got = re.fullmatch(GATE_MESSAGE, str(exc))
+    assert got, str(exc)
+    cond, rows, N, scaled, margin = got.groups()
+    eps = np.finfo(float).eps
+    assert float(scaled) == pytest.approx(float(cond) * eps, rel=1e-2)
+    assert float(margin) == pytest.approx(float(scaled) / GATE_BOUND, rel=1e-2)
+    assert float(margin) > 1.0
+    return float(cond), int(rows), int(N)
+
+
+def test_gate_message_names_rows_and_margin():
+    # an early refusal: the rows final after 40 of 64 already cross the
+    # bound, and the full run's estimate is at least as large
+    A = bs.sampling.random_band_matrix(np.random.default_rng((2, 3, 64)), 3, 64)
+    sig = bs.canonical_spectral_function(A)
+    with pytest.raises(IllConditioned) as early:
+        bs.reconstruct(sig)
+    cond, rows, N = _gate_message(early.value)
+    assert (rows, N) == (40, 64)
+    assert cond <= float("%.3g" % bs.gram_schmidt(sig).cond)
+    # the full run of this draw stops at an undecidable norm; the gated
+    # run refuses before it gets there
+    A = bs.sampling.random_band_matrix(np.random.default_rng((1, 3, 64)), 3, 64)
+    sig = bs.canonical_spectral_function(A)
+    with pytest.raises(AmbiguousNorm):
+        bs.gram_schmidt(sig)
+    with pytest.raises(IllConditioned) as early:
+        bs.reconstruct(sig)
+    assert _gate_message(early.value)[1:] == (40, 64)
+    # a refusal at the last row: only the initial values cross the
+    # bound (test_gate_weighs_the_initial_values), and N = 10 has no
+    # earlier check
+    A = bs.sampling.random_band_matrix(np.random.default_rng(7), 2, 10)
+    T = bs.TriangularInit(2, ((1.0, 3e4), (0.0, 1.0)))
+    sig = bs.transform_spectral_function(bs.canonical_spectral_function(A), T)
+    with pytest.raises(IllConditioned) as last:
+        bs.reconstruct(sig)
+    cond, rows, N = _gate_message(last.value)
+    assert (rows, N) == (10, 10)
+    assert "%.3g" % cond == "%.3g" % bs.gram_schmidt(sig).cond
+
+
+@pytest.mark.parametrize("broken", ["coefficient", "node"])
+def test_gate_refuses_a_copy_that_breaks_down(monkeypatch, broken):
+    # a NaN coefficient in one copy makes its initial values and its
+    # matrix NaN, a NaN node its matrix alone: the run must refuse, at
+    # the first check (32 of 48 rows) or at the end (N = 12), although
+    # the input alone passes the gate
+    module = sys.modules["bandspec.reconstruct"]
+    sigs = {}
+    for N in (12, 48):
+        A = bs.sampling.random_band_matrix(np.random.default_rng((11, 2, N)), 2, N)
+        sigs[N] = bs.canonical_spectral_function(A)
+        bs.reconstruct(sigs[N])
+    original = module._perturbations
+
+    def with_nan(N, n):
+        factor, offset = (a.copy() for a in original(N, n))
+        (offset[2, 0] if broken == "coefficient" else factor[2])[0] = np.nan
+        return factor, offset
+
+    monkeypatch.setattr(module, "_perturbations", with_nan)
+    for N, rows in ((12, 12), (48, 32)):
+        assert math.isnan(bs.gram_schmidt(sigs[N]).cond)
+        with pytest.raises(IllConditioned,
+                           match="condition estimate nan after %d of %d rows: a "
+                                 "perturbed copy of the input broke down$" % (rows, N)):
+            bs.reconstruct(sigs[N])
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_reconstruct_gates_the_full_run(data):
+    """reconstruct returns exactly when the gate accepts the estimate of
+    the full run, gram_schmidt without a gate, and then returns, bit
+    for bit, what matrix_from_basis and initial_conditions give on that
+    run, with the same cond; otherwise it raises IllConditioned, before
+    the last row or at it, or the loop's own refusal."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    try:
+        sig = bs.canonical_spectral_function(bs.sampling.random_band_matrix(rng, n, N, j0=j0))
+        if data.draw(st.booleans()):
+            sig = bs.transform_spectral_function(sig, bs.sampling.random_tinit(rng, n))
+    except bs.errors.BandSpecError:
+        return
+    try:
+        full = bs.gram_schmidt(sig)
+    except NumericalDecisionError as exc:
+        with pytest.raises(NumericalDecisionError) as got:
+            bs.reconstruct(sig)
+        if not isinstance(got.value, IllConditioned):
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    if not full.cond * np.finfo(float).eps <= GATE_BOUND:
+        with pytest.raises(IllConditioned) as got:
+            bs.reconstruct(sig)
+        if not math.isnan(full.cond):
+            assert _gate_message(got.value)[2] == N
+        return
+    rec = bs.reconstruct(sig)
+    gs = rec.diagnostics
+    assert gs.cond.hex() == full.cond.hex()
+    assert (gs.basis_heights, gs.generator_heights, gs.iterations) == (
+        full.basis_heights, full.generator_heights, full.iterations)
+    assert gs.values.tobytes() == full.values.tobytes()
+    assert gs.first_block.tobytes() == full.first_block.tobytes()
+    assert helpers.bits(rec.matrix.diags) == helpers.bits(bs.matrix_from_basis(sig, full).diags)
+    assert helpers.bits(rec.tinit.rows) == helpers.bits(bs.initial_conditions(full).rows)
 
 
 #: hand-built (n, jumps) that gram_schmidt refuses
