@@ -23,10 +23,13 @@ variable
     y = (x - node_center) / node_scale
 
 is recorded in the result, and the matrix is mapped back exactly through
-A = node_scale * A_scaled + node_center * I.  Inner products, every
-zero-norm decision and the band come from the basis node values alone;
-only the first n members are built as polynomials, for the initial
-values.  The basis and generators, in x, come from solve_recurrence.
+A = node_scale * A_scaled + node_center * I.  Inner products and every
+zero-norm decision come from the basis node values alone, and the band
+from the recurrence coefficients: entry (m, j), j <= m, of A_scaled is
+the first-pass coefficient <p_j, y p_m> of the candidate y p_m, which
+the loop computes once.  Only the first n members are polynomials,
+built for the initial values.  The basis and generators, in x, come
+from solve_recurrence.
 
 A run that decides every norm may still amplify rounding past the
 accuracy bound, so reconstruct gates its answer.  gram_schmidt runs
@@ -37,8 +40,9 @@ GATE_STEP (eigh gives eigenvector entries an absolute error).  The
 largest change of the matrix or of the initial values, divided by
 GATE_STEP, estimates the condition number (small-sample statistical
 condition estimation, Kenney & Laub, SIAM J. Sci. Comput. 15, 1994).
-The matrix entries are the loop's first-pass coefficients <p_j, y p_m>
-of each candidate y p_m, final once computed.  An estimate times the
+The matrix entries are the same first-pass coefficients, of each
+slot, final once computed, so the answer returned is the one the
+gate measured.  An estimate times the
 machine epsilon above GATE_BOUND raises IllConditioned, and reconstruct
 raises it mid-run once the rows final so far cross the bound, which the
 estimate over all rows would then cross too.
@@ -92,9 +96,13 @@ class Orthogonalization:
 
     Equality is identity: the arrays have no single truth value.
 
-    values row k holds alpha(x_l) . p_k(x_l) for all jumps l, p_k the
-    basis member at height basis_heights[k]: all later stages need to
-    form inner products (row_j . row_k is exactly <p_j, p_k>).  Column h
+    p_k is the basis member at height basis_heights[k].  coefficients
+    entry (m, j), j <= m, is <p_j, y p_m> in the scaled frame, the
+    first-pass coefficient of the candidate y p_m: matrix_from_basis
+    reads the band from it (the entries above the diagonal are not
+    read).  values row k holds alpha(x_l) . p_k(x_l) for all jumps l
+    (row_j . row_k is exactly <p_j, p_k>), for diagnostics and tests:
+    no later stage reads it.  Column h
     of first_block holds the constants of the member at height h < n
     (zeros if that height fell into the zero class).  iterations counts
     the heights consumed, including those skipped in dead residue
@@ -108,6 +116,7 @@ class Orthogonalization:
     node_scale: float
     node_center: float
     values: np.ndarray
+    coefficients: np.ndarray
     first_block: np.ndarray
     cond: float
 
@@ -227,7 +236,7 @@ def gram_schmidt(sigma, gate=None):
     # allocation for both (two page-faulted on every call at N = 64)
     Q, P = np.zeros((2, GATE_REPLAYS + 1, N, N))
     Qt = Q.swapaxes(1, 2)  # a view: it sees every row stored later
-    F = np.zeros((GATE_REPLAYS + 1, n, n))
+    F = np.zeros((GATE_REPLAYS, n, n))  # the copies' initial values
     row = {}  # accepted height -> its row of Q
     gheights, first, consts = [], [], np.zeros((n, n))
     h = -1
@@ -238,7 +247,7 @@ def gram_schmidt(sigma, gate=None):
         """cond over the initial values and rows 0 .. rows - 1 of P."""
         nonlocal done, worst
         if not done:
-            worst = np.abs(F[1:] - consts).max()
+            worst = np.abs(F - consts).max()
         A = P[:, done:rows] * scale[:, :, None]
         A.reshape(len(A), -1)[:, done::N + 1] += center  # the diagonal
         A[1:] -= A[0]  # each copy's change, in place
@@ -292,11 +301,11 @@ def gram_schmidt(sigma, gate=None):
                 np.divide(v, nrms, out=Q[:, r, None])
                 if h < n:
                     c = p + q
-                    # column h of the initial values: every member so
-                    # far is a constant at a lower height
-                    col = -(F[:, :, list(row)] @ c.swapaxes(1, 2))[:, :, 0]
+                    # column h of the copies' initial values: every
+                    # member so far is a constant at a lower height
+                    col = -(F[:, :, list(row)] @ c[1:].swapaxes(1, 2))[:, :, 0]
                     col[:, h] += 1.0
-                    F[:, :, h] = col / nrms[:, 0]
+                    F[:, :, h] = col / nrms[1:, 0]
                     # the input's member: e_{h+1} minus its projections
                     terms = zip(c[0, 0].tolist(), first)
                     cand = linear_combine([(1.0, vecpoly.basis_vector(h + 1, n))]
@@ -320,8 +329,8 @@ def gram_schmidt(sigma, gate=None):
         cond = estimate(N)
     if gate:
         gate((cond, N, N))
-    values = Q[0].copy()
-    values.flags.writeable = consts.flags.writeable = False
+    values, coefficients = Q[0].copy(), P[0].copy()
+    values.flags.writeable = coefficients.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
         basis_heights=tuple(row),
         generator_heights=tuple(gheights),
@@ -329,6 +338,7 @@ def gram_schmidt(sigma, gate=None):
         node_scale=float(scale[0, 0]),
         node_center=float(center[0, 0]),
         values=values,
+        coefficients=coefficients,
         first_block=consts,
         cond=cond,
     )
@@ -386,12 +396,13 @@ def _gate(estimate):
 def matrix_from_basis(sigma, gs):
     """Matrix of multiplication by the variable in the orthonormal basis.
 
-    Computes every c_lk = <basis_l, y * basis_k> from the stored node
-    values as one matrix product, symmetrized by averaging each pair.
-    Every pair with |l - k| > n must be below BAND_TOL.  Entries that
-    the height-derived degeneration profile constrains to zero are
-    snapped when they are below BAND_TOL in the scaled frame, and the
-    band is mapped back to the original variable.
+    Reads every c_mj = <basis_j, y * basis_m>, j <= m, from
+    gs.coefficients, the recurrence coefficients of the band-Lanczos
+    run, each pair once.  Every pair with m - j > n must be below
+    BAND_TOL.  Entries that the height-derived degeneration profile
+    constrains to zero are snapped when they are below BAND_TOL in the
+    scaled frame, and the band is mapped back to the original variable,
+    so every entry not snapped is the one the gate measured.
 
     Raises
     ------
@@ -401,19 +412,17 @@ def matrix_from_basis(sigma, gs):
     ProfileMismatch
         The basis and generator heights are mutually inconsistent.
     """
-    n, N = sigma.n, len(gs.values)
-    y = (sigma.x - gs.node_center) / gs.node_scale
-    V = gs.values
-    C = (V * y) @ V.T
-    C = 0.5 * (C + C.T).ravel()  # exactly symmetric, row-major
+    n, N = sigma.n, len(gs.coefficients)
+    C = gs.coefficients.ravel()
     outside, band, ends = _band_layout(N, n)
 
     leak = np.abs(C[outside])
     if leak.max(initial=0.0) > BAND_TOL:
-        k, l = divmod(int(outside[leak.argmax()]), N)
+        at = int(outside[leak.argmax()])
+        l, k = divmod(at, N)
         raise BandViolation(
             "inner product at offset %d, position %d is %r, beyond the "
-            "declared bandwidth" % (l - k, k + 1, float(C[k * N + l]))
+            "declared bandwidth" % (l - k, k + 1, float(C[at]))
         )
 
     m = height_degeneration_indices(gs)
@@ -433,12 +442,14 @@ def matrix_from_basis(sigma, gs):
 
 @functools.lru_cache(maxsize=64)
 def _band_layout(N, n):
-    """Flat indices into an N x N array: of the upper triangle beyond
-    offset n, row by row, and of its diagonals 0 .. n, one after the
-    other; then where each diagonal starts in that list, and its end."""
+    """Flat indices into the lower triangle of an N x N array: of the
+    entries (j, i) with j > i + n, ordered as (i, j) in the upper
+    triangle row by row, and of the diagonals 0 .. n on and below the
+    main one, one after the other; then where each diagonal starts in
+    that list, and its end."""
     i, j = np.triu_indices(N, n + 1)
-    band = [np.arange(g, (N - g) * N, N + 1) for g in range(n + 1)]
-    outside, flat = i * N + j, np.concatenate(band)
+    band = [np.arange(g * N, N * N, N + 1) for g in range(n + 1)]
+    outside, flat = j * N + i, np.concatenate(band)
     outside.flags.writeable = flat.flags.writeable = False
     return outside, flat, tuple(np.cumsum([0] + [len(d) for d in band]).tolist())
 

@@ -114,35 +114,38 @@ def generator_matrix(table, z):
 def rank_defect(table, z):
     """n minus the numerical rank of the generator matrix at z.
 
-    Rank is decided by singular values against RANK_DEFECT_TOL times
-    a reference scale.  The reference is the larger of the top singular
-    value and the l1 coefficient mass of the generators evaluated at
-    |z|; the second term matters when the whole matrix vanishes (an
-    eigenvalue whose multiplicity equals n), where any purely relative
-    rule would mistake rounding noise for rank.  At an eigenvalue the defect
+    Row i of the generator matrix is first divided by generator i's own
+    coefficient mass at max(1, |z|), the largest l1 sum over its
+    components of |coefficient| * max(1, |z|)^degree; a zero
+    generator's row stays zero.  The generators grow with different
+    powers of |z|, and unscaled their rows look nearly dependent far
+    from the spectrum.  Rank is then decided by singular values against
+    RANK_DEFECT_TOL times the larger of the top singular value and 1
+    (when some generator is nonzero).  The second term matters when the
+    whole matrix vanishes (an eigenvalue whose multiplicity equals n),
+    where any purely relative rule would mistake rounding noise for
+    rank.  At an eigenvalue the defect
     equals the eigenspace dimension; away from the spectrum it is zero.
 
     Raises
     ------
     NonFiniteEntry
-        The generator matrix or the coefficient mass at z is not finite
+        The generator matrix or a coefficient mass at z is not finite
         (z itself, or a power of |z| that overflows float64).
     """
     M = generator_matrix(table, z)
     base = max(1.0, abs(z))
-    mass = 0.0
     try:
-        for q in table.generators:
-            for c in q.comps:
-                # sum adds left to right, in ascending degree
-                mass = max(mass, sum(abs(v) * base ** d for d, v in enumerate(c)))
+        # sum adds left to right, in ascending degree
+        mass = np.array([max(sum(abs(v) * base ** d for d, v in enumerate(c)) for c in q.comps)
+                         for q in table.generators])
     except OverflowError:  # float ** int raises where numpy would give inf
-        mass = math.inf
-    if not (math.isfinite(mass) and np.isfinite(M).all()):
+        mass = np.array([math.inf])
+    if not (np.isfinite(mass).all() and np.isfinite(M).all()):
         raise NonFiniteEntry(
             "the generators at z = %r are not finite in float64 (generator "
             "matrix or coefficient mass), so their rank is undefined" % z
         )
-    svals = np.linalg.svd(M, compute_uv=False)
-    thresh = RANK_DEFECT_TOL * max(float(svals[0]), mass)
+    svals = np.linalg.svd(M / np.where(mass > 0.0, mass, 1.0)[:, None], compute_uv=False)
+    thresh = RANK_DEFECT_TOL * max(float(svals[0]), 1.0 if mass.any() else 0.0)
     return table.n - int(np.count_nonzero(svals > thresh))

@@ -22,11 +22,11 @@ from .errors import (
     DivisionByZero,
     IndexOutOfRange,
     NegativeSpring,
+    NoConvergence,
     NonFiniteEntry,
     NonPositiveMass,
 )
 from .bandmat import BandMatrix, to_dense
-from .spectral import eig_symmetric
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,21 @@ def build_spring_matrix(chain):
 
 
 def frequencies(A):
-    """Oscillation frequencies sqrt(|eigenvalue|), ascending."""
-    dec = eig_symmetric(to_dense(A))
-    return tuple(sorted(math.sqrt(abs(float(v))) for v in dec.values))
+    """Oscillation frequencies sqrt(|eigenvalue|), ascending, from the
+    eigenvalues alone (no eigenvectors are computed).
+
+    Raises
+    ------
+    NoConvergence
+        If the eigensolver fails.
+    """
+    import numpy as np
+
+    try:
+        values = np.linalg.eigvalsh(to_dense(A))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("eigensolver did not converge: %s" % exc) from exc
+    return tuple(sorted(math.sqrt(abs(float(v))) for v in values))
 
 
 def continued_fraction_check(chain, j):

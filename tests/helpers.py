@@ -347,12 +347,12 @@ def ref_transform_spectral_function(sigma, T):
 
 def ref_matrix_from_basis(sigma, gs):
     """matrix_from_basis before its numpy calls were cut: np.triu for
-    the leak, one array per diagonal."""
-    n, N = sigma.n, len(gs.values)
-    y = (sigma.x - gs.node_center) / gs.node_scale
-    V = gs.values
-    C = (V * y) @ V.T
-    C = 0.5 * (C + C.T)
+    the leak, one array per diagonal, on the symmetric matrix whose
+    lower triangle is gs.coefficients' (copied, not added, so a -0.0
+    stays -0.0)."""
+    n, N = sigma.n, len(gs.coefficients)
+    L = gs.coefficients
+    C = np.where(np.tri(N, dtype=bool), L, L.T)
 
     leak = np.abs(np.triu(C, n + 1))  # C is exactly symmetric
     k, l = np.unravel_index(np.argmax(leak), leak.shape)
@@ -601,8 +601,9 @@ def ref_gram_schmidt(sigma):
     with np.errstate(all="ignore"):
         A = scale[:, :, None] * P + center[:, :, None] * np.eye(N)
         change = np.max((_ref_change(A[1:], A[0]), np.max(np.abs(F[1:] - consts))))
-    values = Q[0].copy()
-    values.flags.writeable = consts.flags.writeable = False
+    values, coefficients = Q[0].copy(), P[0].copy()
+    values.flags.writeable = coefficients.flags.writeable = False
+    consts.flags.writeable = False
     return Orthogonalization(
         basis_heights=tuple(row),
         generator_heights=tuple(gheights),
@@ -610,6 +611,7 @@ def ref_gram_schmidt(sigma):
         node_scale=float(scale[0, 0]),
         node_center=float(center[0, 0]),
         values=values,
+        coefficients=coefficients,
         first_block=consts,
         cond=float(change) / GATE_STEP,
     )

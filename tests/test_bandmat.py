@@ -398,6 +398,29 @@ def test_rank_defect_refuses_non_finite_generators():
     assert bs.rank_defect(table, 0.5 * float(evals[0] + evals[1])) == 0
 
 
+def test_rank_defect_is_zero_far_from_the_spectrum():
+    # the generators grow with different powers of |z|, so far out the
+    # unscaled rows look nearly dependent though they are not
+    A = bs.sampling.random_band_matrix(np.random.default_rng(0), 2, 8)
+    table = bs.solve_recurrence(A, bs.TriangularInit.identity(2))
+    for z in (1e3, 1e4, 1e5, 1e6, -1e6, 1e7, 1e12):
+        assert bs.rank_defect(table, z) == 0, z
+    # random tables: the multiplicity at every eigenvalue, 0 at every
+    # far probe
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        N = int(rng.integers(n + 1, 20))
+        A = bs.sampling.random_band_matrix(rng, n, N)
+        table = bs.solve_recurrence(A, bs.sampling.random_tinit(rng, n))
+        evals = np.linalg.eigvalsh(bs.to_dense(A))
+        for v in evals:
+            size = int(np.count_nonzero(np.abs(evals - v) <= 1e-8))
+            assert bs.rank_defect(table, float(v)) == size, (n, N, v)
+        for z in (evals[0] - 3.0, evals[-1] + 3.0, 1e3, -1e4, 1e6, 1e9):
+            assert bs.rank_defect(table, float(z)) == 0, (n, N, z)
+
+
 def interleaved_double_jacobi():
     """Two identical 2x2 Jacobi blocks interleaved into one n=2 member.
 

@@ -190,8 +190,8 @@ IMPORT_SETS = {
     "roundtrip": (["A.json"], {"cli", "errors", "fileio", "bandmat", "spectral",
                                "reconstruct", "vecpoly"}, True, True),
     "spring": (["chain.json", "--cf-check"],
-               {"cli", "errors", "fileio", "bandmat", "spectral", "springchain"},
-               True, False),
+               {"cli", "errors", "fileio", "bandmat", "springchain"},
+               False, False),
 }
 
 

@@ -20,7 +20,7 @@ from bandspec.errors import (
     NumericalDecisionError,
     ProfileMismatch,
 )
-from bandspec.reconstruct import GATE_BOUND
+from bandspec.reconstruct import BAND_TOL, GATE_BOUND
 from bandspec.spectral import RANK_TOL
 
 import helpers
@@ -130,6 +130,15 @@ def test_reconstruct_recovers_transform_matrix():
         assert np.max(np.abs(np.array(rec.tinit.rows) - T.dense())) < 1e-8
 
 
+def _basis_changed(gs, M):
+    """gs with its coefficients those of the basis M V: the lower
+    triangle of M C M^t, C the symmetric matrix that gs.coefficients
+    holds the lower triangle of."""
+    L = gs.coefficients
+    C = np.where(np.tri(len(L), dtype=bool), L, L.T)
+    return dataclasses.replace(gs, coefficients=np.tril(M @ C @ M.T))
+
+
 def test_band_leak_past_first_outside_diagonal():
     # rotating basis rows 1 and 5 of a Jacobi basis keeps them
     # orthonormal and moves band entries to offsets 3 and 4 only, so a
@@ -138,10 +147,10 @@ def test_band_leak_past_first_outside_diagonal():
         bs.sampling.random_jacobi(np.random.default_rng(3), 5))
     gs = bs.gram_schmidt(sig)
     c, s = math.cos(0.1), math.sin(0.1)
-    V = np.array(gs.values)
-    V[0], V[4] = c * V[0] - s * V[4], s * V[0] + c * V[4]
+    R = np.eye(5)
+    R[0, 0], R[0, 4], R[4, 0], R[4, 4] = c, -s, s, c
     with pytest.raises(BandViolation, match="offset [34]"):
-        bs.matrix_from_basis(sig, dataclasses.replace(gs, values=V))
+        bs.matrix_from_basis(sig, _basis_changed(gs, R))
 
 
 def test_results_compare_and_hash_without_raising():
@@ -644,6 +653,37 @@ def test_reconstruct_gates_the_full_run(data):
     assert helpers.bits(rec.tinit.rows) == helpers.bits(bs.initial_conditions(full).rows)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_returned_band_is_the_gates_coefficients(data):
+    """Every entry (m, j) of a returned band that the cut does not snap
+    is, as a hex float, coefficients[m, j] * node_scale, plus
+    node_center on the diagonal: the first-pass coefficient the gate
+    measured.  The coefficients are read-only, and each row has a
+    nonzero entry on or below the diagonal, so the loop wrote it."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    N = data.draw(st.integers(min_value=n + 1, max_value=64))
+    j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    try:
+        sig = bs.canonical_spectral_function(bs.sampling.random_band_matrix(rng, n, N, j0=j0))
+        if data.draw(st.booleans()):
+            sig = bs.transform_spectral_function(sig, bs.sampling.random_tinit(rng, n))
+        rec = bs.reconstruct(sig)
+    except bs.errors.BandSpecError:
+        return
+    gs = rec.diagnostics
+    C = gs.coefficients
+    assert C.shape == (N, N) and not C.flags.writeable
+    assert np.all(np.tril(C).any(axis=1))
+    for g, diag in enumerate(rec.matrix.diags):
+        for j, got in enumerate(diag):
+            c = float(C[j + g, j])
+            want = c * gs.node_scale + gs.node_center if g == 0 else c * gs.node_scale
+            assert got.hex() == want.hex() or (g and got == 0.0 and abs(c) <= BAND_TOL), (
+                g, j, got, want)
+
+
 #: hand-built (n, jumps) that gram_schmidt refuses
 INADMISSIBLE = {
     "identical directions": (2, [(x, (1.0, 1.0)) for x in (-1.5, -0.5, 0.5, 1.5)]),
@@ -669,7 +709,8 @@ def _lanczos_outcome(run, sig):
         return type(exc), str(exc)
     return (gs.basis_heights, gs.generator_heights, gs.iterations,
             helpers.bits([gs.node_scale, gs.node_center]), gs.values.shape,
-            gs.values.tobytes(), gs.first_block.tobytes(), np.float64(gs.cond).tobytes())
+            gs.values.tobytes(), gs.coefficients.tobytes(), gs.first_block.tobytes(),
+            np.float64(gs.cond).tobytes())
 
 
 @settings(deadline=None, max_examples=120)
@@ -679,8 +720,8 @@ def _lanczos_outcome(run, sig):
 @example(case="classes die early")
 def test_gram_schmidt_matches_reference(case):
     """gram_schmidt and helpers.ref_gram_schmidt give the same heights,
-    iterations, node frame, values, first block and cond, as bytes, or
-    the same refusal class and message."""
+    iterations, node frame, values, coefficients, first block and cond,
+    as bytes, or the same refusal class and message."""
     if isinstance(case, str):
         sig = bs.SpectralFunction(*INADMISSIBLE[case])
     else:
@@ -767,9 +808,10 @@ def test_inverse_stages_match_references(data):
     """matrix_from_basis and initial_conditions give, bit for bit, what
     their earlier bodies in helpers give, or the same refusal class and
     message: on gram_schmidt's output for n <= 8, N <= 64 and random
-    initial values on half the draws, with one basis row sometimes
-    mixed into another (an out-of-band leak, or one below BAND_TOL that
-    the cut snaps) or the heights shifted (inconsistent heights)."""
+    initial values on half the draws, with the coefficients sometimes
+    those of the basis with one row mixed into another (an out-of-band
+    leak, or one below BAND_TOL that the cut snaps) or the heights
+    shifted (inconsistent heights)."""
     n = data.draw(st.integers(min_value=1, max_value=8))
     N = data.draw(st.integers(min_value=n + 1, max_value=64))
     j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
@@ -783,10 +825,10 @@ def test_inverse_stages_match_references(data):
         return
     change = data.draw(st.sampled_from([None, "mix", "heights"]))
     if change == "mix":
-        V = np.array(gs.values)
+        M = np.eye(N)
         k, l = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
-        V[k] += data.draw(st.sampled_from([1e-12, 1e-9, 1e-3])) * V[l]
-        gs = dataclasses.replace(gs, values=V)
+        M[k, l] += data.draw(st.sampled_from([1e-12, 1e-9, 1e-3]))
+        gs = _basis_changed(gs, M)
     elif change == "heights":
         gs = dataclasses.replace(gs, basis_heights=tuple(h + 1 for h in gs.basis_heights))
     assert (_stage_outcome(bs.matrix_from_basis, sig, gs)
@@ -799,14 +841,16 @@ def test_band_violation_names_first_of_tied_leaks():
     # rows built so that C = V V^t (all y = 1) has out-of-band entries
     # 0.5 at (0, 4), -0.5 at (1, 3) and 0.5 at (2, 4): the message names
     # the first largest |entry| in row-major order, (0, 4), where a
-    # column-major scan would name (1, 3) and a last-maximum scan (2, 4)
+    # column-major scan would name (1, 3) and a last-maximum scan (2, 4);
+    # the coefficients hold C's lower triangle
     V = np.eye(5)
     V[3, 1] = -0.5
     V[4, 0] = V[4, 2] = 0.5
     sig = bs.SpectralFunction(1, [(1.0, (1.0,))] * 5)
     gs = bs.Orthogonalization(
         basis_heights=tuple(range(5)), generator_heights=(5,), iterations=6,
-        node_scale=1.0, node_center=0.0, values=V, first_block=np.eye(1), cond=0.0)
+        node_scale=1.0, node_center=0.0, values=V, coefficients=np.tril(V @ V.T),
+        first_block=np.eye(1), cond=0.0)
     want = (BandViolation, "inner product at offset 4, position 1 is 0.5, beyond the "
             "declared bandwidth")
     assert helpers.outcome(bs.matrix_from_basis, sig, gs) == want
