@@ -105,8 +105,7 @@ def cmd_inverse(args):
     rec = _this.reconstruct(sigma)
     _emit(fileio.dump_matrix(rec.matrix), args.output)
     if args.tinit_out is not None:
-        fileio.write_file(args.tinit_out, rec.tinit)
-        print("wrote %s" % args.tinit_out)
+        _emit(fileio.dump_tinit(rec.tinit), args.tinit_out)
     from .reconstruct import GATE_BOUND  # loaded by now
 
     gs = rec.diagnostics

@@ -37,14 +37,15 @@ GATE_REPLAYS seeded perturbations of the input in the same loop, with
 every decision taken on the input and pinned for the copies: the nodes
 by a relative GATE_STEP, the coefficient vectors by an absolute
 GATE_STEP (eigh gives eigenvector entries an absolute error).  The
-largest change of the matrix or of the initial values, divided by
-GATE_STEP, estimates the condition number (small-sample statistical
-condition estimation, Kenney & Laub, SIAM J. Sci. Comput. 15, 1994).
-The matrix entries are the same first-pass coefficients, of each
-slot, final once computed, so the answer returned is the one the
-gate measured.  An estimate times the
-machine epsilon above GATE_BOUND raises IllConditioned, and reconstruct
-raises it mid-run once the rows final so far cross the bound, which the
+node frame is a choice of the run, not data: every copy runs in the
+input's frame.  The largest change of the matrix or of the initial
+values, divided by GATE_STEP, estimates the condition number
+(small-sample statistical condition estimation, Kenney & Laub, SIAM J.
+Sci. Comput. 15, 1994).  The matrix entries are the same first-pass
+coefficients, of each slot, final once computed, so the answer
+returned is the one the gate measured.  An estimate times the machine
+epsilon above GATE_BOUND raises IllConditioned, and reconstruct raises
+it mid-run once the rows final so far cross the bound, which the
 estimate over all rows would then cross too.
 """
 
@@ -102,11 +103,12 @@ class Orthogonalization:
     reads the band from it (the entries above the diagonal are not
     read).  values row k holds alpha(x_l) . p_k(x_l) for all jumps l
     (row_j . row_k is exactly <p_j, p_k>), for diagnostics and tests:
-    no later stage reads it.  Column h
-    of first_block holds the constants of the member at height h < n
-    (zeros if that height fell into the zero class).  iterations counts
-    the heights consumed, including those skipped in dead residue
-    classes.  cond is the gate's condition estimate of the run, over
+    no later stage reads it.  Column h of first_block holds the
+    constants of the member at height h < n (zeros if that height fell
+    into the zero class).  iterations counts the heights consumed,
+    including those skipped in dead residue classes.  node_scale and
+    node_center give the input's node frame, which every slot of the
+    gate ran in.  cond is the gate's condition estimate of the run, over
     every row of the matrix (NaN if a perturbed copy broke down).
     """
 
@@ -178,12 +180,13 @@ def gram_schmidt(sigma, gate=None):
     between stops the computation rather than guess.
 
     The gate's perturbed copies (see the module docstring) are slots
-    stacked behind the input's, which alone decides for all of them.
-    cond is the largest change over the copies of first_block or of an
-    entry (m, j), j <= m, of the matrix, out-of-band entries included,
-    divided by GATE_STEP; NaN if a copy broke down.  Entry (m, j) is
-    the first-pass coefficient <p_j, y p_m> of the candidate y p_m,
-    mapped back to x.
+    stacked behind the input's, slot 0, which alone decides for all of
+    them and alone sets their node frame; the initial values are
+    stacked with slot 0 first too.  cond is the largest change over the
+    copies of first_block or of an entry (m, j), j <= m, of the matrix,
+    out-of-band entries included, divided by GATE_STEP; NaN if a copy
+    broke down.  Entry (m, j) is the first-pass coefficient
+    <p_j, y p_m>, whose change in x is node_scale times its change.
 
     Parameters
     ----------
@@ -218,15 +221,14 @@ def gram_schmidt(sigma, gate=None):
             "need more jumps than components, got N=%d n=%d" % (N, n)
         )
     factor, offset = _perturbations(N, n)
-    # slot 0 is the input, slot k > 0 its k-th perturbed copy
-    x = sigma.x * factor
-    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
+    # slot 0 is the input, slot k > 0 its k-th copy, all in the input's frame
+    lo, hi = sigma.x.min(), sigma.x.max()
     center, scale = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo  # halves cannot overflow
-    if scale[0, 0] == 0.0:
+    if scale == 0.0:
         # a single node carries rank at most n < N, so validated input
         # cannot land here
         raise DimensionMismatch("all nodes coincide")
-    y = ((x - center) / scale)[:, None, :]
+    y = ((sigma.x * factor - center) / scale)[:, None, :]
     alpha = sigma.alpha + offset
     consts_of = alpha.transpose(2, 0, 1)[:, :, None, :]  # values of e_{h+1}
 
@@ -236,9 +238,9 @@ def gram_schmidt(sigma, gate=None):
     # allocation for both (two page-faulted on every call at N = 64)
     Q, P = np.zeros((2, GATE_REPLAYS + 1, N, N))
     Qt = Q.swapaxes(1, 2)  # a view: it sees every row stored later
-    F = np.zeros((GATE_REPLAYS, n, n))  # the copies' initial values
+    F = np.zeros((GATE_REPLAYS + 1, n, n))  # every slot's initial values
     row = {}  # accepted height -> its row of Q
-    gheights, first, consts = [], [], np.zeros((n, n))
+    gheights, first = [], []
     h = -1
     check = max(_CHECK_FROM, N // 2) if gate else N  # rows of P at the next look
     done, worst = 0, 0.0  # rows of P in worst, and their largest change
@@ -247,13 +249,11 @@ def gram_schmidt(sigma, gate=None):
         """cond over the initial values and rows 0 .. rows - 1 of P."""
         nonlocal done, worst
         if not done:
-            worst = np.abs(F - consts).max()
-        A = P[:, done:rows] * scale[:, :, None]
-        A.reshape(len(A), -1)[:, done::N + 1] += center  # the diagonal
-        A[1:] -= A[0]  # each copy's change, in place
-        np.abs(A[1:], out=A[1:])
-        A[1:] *= _lower(N)[done:rows]  # each pair once
-        worst, done = np.maximum(worst, A[1:].max()), rows
+            worst = np.abs(F[1:] - F[0]).max()
+        A = P[1:, done:rows] - P[0, done:rows]  # each copy's change
+        np.abs(A, out=A)
+        A *= _lower(N)[done:rows]  # each pair once
+        worst, done = np.maximum(worst, scale * A.max()), rows
         return float(worst) / GATE_STEP
 
     # a copy that breaks down shows as NaN in cond; the input's slot
@@ -303,16 +303,16 @@ def gram_schmidt(sigma, gate=None):
                     c = p + q
                     # column h of the copies' initial values: every
                     # member so far is a constant at a lower height
-                    col = -(F[:, :, list(row)] @ c[1:].swapaxes(1, 2))[:, :, 0]
+                    col = -(F[1:, :, list(row)] @ c[1:].swapaxes(1, 2))[:, :, 0]
                     col[:, h] += 1.0
-                    F[:, :, h] = col / nrms[1:, 0]
+                    F[1:, :, h] = col / nrms[1:, 0]
                     # the input's member: e_{h+1} minus its projections
                     terms = zip(c[0, 0].tolist(), first)
                     cand = linear_combine([(1.0, vecpoly.basis_vector(h + 1, n))]
                                           + [(-ck, f) for ck, f in terms])
                     # the one-term linear_combine, whose + 0.0 turns -0.0 into 0.0
                     first.append(vecpoly._canonical(n, (1.0 / nrm) * cand.coef + 0.0))
-                    consts[:h + 1, h] = first[-1].coef
+                    F[0, :h + 1, h] = first[-1].coef
                 row[h] = r
             elif nrm < 0.1 * tau:
                 gheights.append(h)
@@ -329,14 +329,14 @@ def gram_schmidt(sigma, gate=None):
         cond = estimate(N)
     if gate:
         gate((cond, N, N))
-    values, coefficients = Q[0].copy(), P[0].copy()
+    values, coefficients, consts = Q[0].copy(), P[0].copy(), F[0].copy()
     values.flags.writeable = coefficients.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
         basis_heights=tuple(row),
         generator_heights=tuple(gheights),
         iterations=h + 1,
-        node_scale=float(scale[0, 0]),
-        node_center=float(center[0, 0]),
+        node_scale=float(scale),
+        node_center=float(center),
         values=values,
         coefficients=coefficients,
         first_block=consts,
@@ -347,14 +347,14 @@ def gram_schmidt(sigma, gate=None):
 @functools.lru_cache(maxsize=64)
 def _perturbations(N, n):
     """The gate's node factors and coefficient offsets for every slot:
-    1.0 and 0.0 for the input in slot 0, then 1 + GATE_STEP g and
-    GATE_STEP G for replay k in slot k + 1, which draws g then G from
-    default_rng(k)."""
+    1.0 and 0.0 for the input in slot 0, then 1 + GATE_STEP g[:N] and
+    GATE_STEP g[N:] (as N x n) for replay k in slot k + 1, g the first
+    N (n + 1) normals of default_rng(k)."""
     factor, offset = np.ones((GATE_REPLAYS + 1, N)), np.zeros((GATE_REPLAYS + 1, N, n))
     for k in range(GATE_REPLAYS):
-        rng = np.random.default_rng(k)
-        factor[k + 1] += GATE_STEP * rng.standard_normal(N)
-        offset[k + 1] = GATE_STEP * rng.standard_normal((N, n))
+        g = np.random.default_rng(k).standard_normal(N * (n + 1))
+        factor[k + 1] += GATE_STEP * g[:N]
+        offset[k + 1] = GATE_STEP * g[N:].reshape(N, n)
     factor.flags.writeable = offset.flags.writeable = False
     return factor, offset
 

@@ -33,10 +33,10 @@ bit for bit, refusals included, class and message.
 
 ref_replay runs the input or one of the conditioning gate's perturbed
 copies on its own, through every height the input consumed, with every
-decision pinned to the input's, and returns the matrix read off its
-first-pass coefficients; ref_gate_cond takes the gate's condition
-estimate over those lone runs.  gram_schmidt runs all copies in one
-stacked loop and must agree bit for bit.
+decision and the node frame pinned to the input's, and returns its
+first-pass coefficients in the scaled frame; ref_gate_cond takes the
+gate's condition estimate over those lone runs.  gram_schmidt runs all
+copies in one stacked loop and must agree bit for bit.
 
 ref_random_band_matrix, ref_random_tinit and ref_random_chain draw
 an instance with one scalar rng.uniform call per entry; the samplers
@@ -512,15 +512,15 @@ def ref_gram_schmidt(sigma):
             "need more jumps than components, got N=%d n=%d" % (N, n)
         )
     factor, offset = _perturbations(N, n)
-    # slot 0 is the input, slot k > 0 its k-th perturbed copy
-    x = sigma.x * factor
-    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
+    # one node frame, the input's; slot 0 is the input, slot k > 0 its
+    # k-th perturbed copy
+    lo, hi = np.min(sigma.x), np.max(sigma.x)
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    if scale[0, 0] == 0.0:
+    if scale == 0.0:
         # a single node carries rank at most n < N, so validated input
         # cannot land here
         raise DimensionMismatch("all nodes coincide")
-    y = ((x - center) / scale)[:, None, :]
+    y = ((sigma.x * factor - center) / scale)[:, None, :]
     consts_of = np.moveaxis(sigma.alpha + offset, 2, 0)[:, :, None, :]  # values of e_{h+1}
 
     total_height = N * n + n * (n - 1) // 2
@@ -599,8 +599,9 @@ def ref_gram_schmidt(sigma):
         first.append(linear_combine([(1.0 / nrm, cand)]))
         consts[:b + 1, b] = first[-1].coef
     with np.errstate(all="ignore"):
-        A = scale[:, :, None] * P + center[:, :, None] * np.eye(N)
-        change = np.max((_ref_change(A[1:], A[0]), np.max(np.abs(F[1:] - consts))))
+        # in one frame, a copy's change in x is scale times its change
+        # in the scaled frame
+        change = np.max((scale * _ref_change(P[1:], P[0]), np.max(np.abs(F[1:] - consts))))
     values, coefficients = Q[0].copy(), P[0].copy()
     values.flags.writeable = coefficients.flags.writeable = False
     consts.flags.writeable = False
@@ -608,8 +609,8 @@ def ref_gram_schmidt(sigma):
         basis_heights=tuple(row),
         generator_heights=tuple(gheights),
         iterations=h + 1,
-        node_scale=float(scale[0, 0]),
-        node_center=float(center[0, 0]),
+        node_scale=float(scale),
+        node_center=float(center),
         values=values,
         coefficients=coefficients,
         first_block=consts,
@@ -621,15 +622,13 @@ def ref_replay(sigma, gs, k):
     """Slot k + 1 of the gate's stack run alone (k = -1 is the input,
     k >= 0 its perturbed copy k), as a stack of one, through every
     height the run gs consumed, generator candidates included, with
-    each decision pinned to gs.  Returns the first-pass coefficients
-    <Q_j, y Q_m> of each candidate y Q_m, in row m and mapped back to x
-    with the slot's own node frame, and the initial-value block."""
+    each decision and the node frame taken from gs.  Returns the
+    first-pass coefficients <Q_j, y Q_m> of each candidate y Q_m, in
+    row m of the scaled frame, and the initial-value block."""
     n, N = sigma.n, sigma.N
     factor, offset = _perturbations(N, n)
     x = sigma.x * factor[k + 1:k + 2]
-    lo, hi = x.min(1, keepdims=True), x.max(1, keepdims=True)
-    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    y = ((x - center) / scale)[:, None, :]
+    y = ((x - gs.node_center) / gs.node_scale)[:, None, :]
     consts_of = np.moveaxis(sigma.alpha + offset[k + 1:k + 2], 2, 0)[:, :, None, :]
     Q = np.zeros((1, N, N))
     P = np.zeros((1, N, N))
@@ -652,22 +651,23 @@ def ref_replay(sigma, gs, k):
             col[:, h] += 1.0
             F[:, :, h] = col / nrm[:, 0]
         row[h] = r
-    A = scale[:, :, None] * P + center[:, :, None] * np.eye(N)
-    return A[0], F[0]
+    return P[0], F[0]
 
 
 def ref_gate_cond(sigma, gs):
     """The gate's condition estimate of the run gs on sigma, the input
-    and each copy replayed alone: the largest change, over the copies,
-    of an entry on or below the diagonal of the matrix read off the
-    first-pass coefficients, or of the initial values against
+    and each copy replayed alone in the input's frame: the largest
+    change, over the copies, of an entry on or below the diagonal of
+    the matrix read off the first-pass coefficients (node_scale times
+    the change in the scaled frame), or of the initial values against
     gs.first_block, divided by GATE_STEP."""
     changes = []
     with np.errstate(all="ignore"):
-        A0, _ = ref_replay(sigma, gs, -1)
+        P0, _ = ref_replay(sigma, gs, -1)
         for k in range(GATE_REPLAYS):
-            A, F = ref_replay(sigma, gs, k)
-            changes += [_ref_change(A, A0), np.max(np.abs(F - gs.first_block))]
+            P, F = ref_replay(sigma, gs, k)
+            changes += [gs.node_scale * _ref_change(P, P0),
+                        np.max(np.abs(F - gs.first_block))]
     return float(np.max(changes)) / GATE_STEP
 
 

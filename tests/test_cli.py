@@ -205,6 +205,21 @@ def test_inverse_roundtrip_via_files(tmp_path, capsys):
     assert np.max(np.abs(T.dense() - np.eye(2))) < 1e-8
 
 
+def test_inverse_tinit_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
+    # '-' means stdout for every output flag; no file named '-' appears
+    A = bs.sampling.random_band_matrix(np.random.default_rng(3), 2, 7, j0=1)
+    sig = bs.canonical_spectral_function(A)
+    path = write(tmp_path, "sigma.json", fileio.dump_sigma(sig))
+    monkeypatch.chdir(tmp_path)
+    assert main(["inverse", path, "-o", "-", "--tinit-out", "-"]) == 0
+    out = capsys.readouterr().out
+    rec = bs.reconstruct(sig)
+    matrix, tinit = fileio.dump_matrix(rec.matrix), fileio.dump_tinit(rec.tinit)
+    assert out.startswith(matrix + tinit)
+    assert "wrote" not in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sigma.json"]
+
+
 def test_inverse_prints_condition_estimate(tmp_path, capsys):
     A = bs.sampling.random_band_matrix(np.random.default_rng(3), 2, 7, j0=1)
     sig = bs.canonical_spectral_function(A)

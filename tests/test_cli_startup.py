@@ -174,24 +174,25 @@ except SystemExit as exc:
     import json
     loaded = sorted(m for m in sys.modules if m.startswith("bandspec"))
     print(json.dumps([exc.code, loaded, "numpy" in sys.modules,
-                      "numpy.random" in sys.modules]))
+                      "numpy.random" in sys.modules, "scipy" in sys.modules]))
 """
 
 LIBRARY = {"bandmat", "cli", "errors", "fileio", "reconstruct", "recurrence",
            "sampling", "spectral", "springchain", "vecpoly"}
-# subcommand: argv, the bandspec submodules it loads, numpy, numpy.random
+# subcommand: argv, the bandspec submodules it loads, numpy, numpy.random,
+# scipy (the runtime is numpy-only, though scipy may be installed)
 IMPORT_SETS = {
-    "validate": (["A.json"], {"cli", "errors", "fileio", "bandmat"}, False, False),
+    "validate": (["A.json"], {"cli", "errors", "fileio", "bandmat"}, False, False, False),
     "direct": (["A.json", "--tinit", "T.json", "-o", "S.json"],
-               {"cli", "errors", "fileio", "bandmat", "spectral"}, True, False),
+               {"cli", "errors", "fileio", "bandmat", "spectral"}, True, False, False),
     "inverse": (["sigma.json", "-o", "B.json", "--tinit-out", "TB.json"],
                 {"cli", "errors", "fileio", "bandmat", "spectral", "reconstruct",
-                 "vecpoly"}, True, True),
+                 "vecpoly"}, True, True, False),
     "roundtrip": (["A.json"], {"cli", "errors", "fileio", "bandmat", "spectral",
-                               "reconstruct", "vecpoly"}, True, True),
+                               "reconstruct", "vecpoly"}, True, True, False),
     "spring": (["chain.json", "--cf-check"],
                {"cli", "errors", "fileio", "bandmat", "springchain"},
-               False, False),
+               False, False, False),
 }
 
 
@@ -211,11 +212,11 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("command", sorted(IMPORT_SETS))
 def test_subcommand_loads_only_what_it_runs(inputs, command):
-    argv, want, numpy, numpy_random = IMPORT_SETS[command]
-    code, loaded, got_numpy, got_random = fresh(ENTRY, command, *argv, cwd=inputs)
+    argv, want, numpy, numpy_random, scipy = IMPORT_SETS[command]
+    code, loaded, got_numpy, got_random, got_scipy = fresh(ENTRY, command, *argv, cwd=inputs)
     assert code == 0
     assert set(loaded) == {"bandspec"} | {"bandspec." + m for m in want}
-    assert (got_numpy, got_random) == (numpy, numpy_random)
+    assert (got_numpy, got_random, got_scipy) == (numpy, numpy_random, scipy)
     assert want <= LIBRARY
 
 
@@ -229,14 +230,16 @@ print(json.dumps([m for m in sys.modules if m.startswith(("bandspec.", "numpy"))
 
 def test_first_public_name_loads_the_library():
     # the benchmark's tracer finds every traced module in sys.modules
-    # after one public name, whichever it is
-    loaded = fresh("""\
+    # after one public name, whichever it is; the library is numpy-only
+    loaded, scipy = fresh("""\
 import json, sys
 import bandspec
 bandspec.validate_band
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("bandspec."))))
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("bandspec.")),
+                  "scipy" in sys.modules]))
 """)
     assert set(loaded) == {"bandspec." + m for m in LIBRARY - {"cli", "fileio"}}
+    assert scipy is False
 
 
 def test_submodule_alone_imports_no_more_than_it_needs():

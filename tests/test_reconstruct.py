@@ -511,12 +511,29 @@ def test_gate_copies_run_independently(monkeypatch):
         assert got.cond * module.GATE_STEP <= 1e-14
 
 
+def test_gate_directions_are_prefixes_of_one_stream():
+    # copy k reads its node factors, then its coefficient offsets, off
+    # the start of one stream of normals for every (N, n), so the first
+    # 64 + 64 * 8 normals of each stream cover the command-line caps
+    module = sys.modules["bandspec.reconstruct"]
+    step = module.GATE_STEP
+    streams = [np.random.default_rng(k).standard_normal(64 * 9)
+               for k in range(module.GATE_REPLAYS)]
+    for n in range(1, 9):
+        for N in range(n + 1, 65):
+            factor, offset = module._perturbations(N, n)
+            assert not np.any(factor[0] - 1.0) and not np.any(offset[0])
+            for k, g in enumerate(streams, 1):
+                assert factor[k].tobytes() == (1.0 + step * g[:N]).tobytes()
+                assert offset[k].tobytes() == (step * g[N:N * (n + 1)]).reshape(N, n).tobytes()
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.data())
 def test_gate_cond_matches_copies_run_alone(data):
     """cond equals, bit for bit, the estimate from each perturbed copy
-    replayed on its own with the input's decisions, so no copy reads
-    the input's nodes, coefficients or first block."""
+    replayed on its own with the input's decisions and frame, so no copy
+    reads the input's nodes, coefficients or first block."""
     n = data.draw(st.integers(min_value=1, max_value=8))
     N = data.draw(st.integers(min_value=n + 1, max_value=64))
     j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))

@@ -717,3 +717,27 @@ def test_eig_symmetric_non_finite_entries_match_reference(entries):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert _eig_outcome(bs.eig_symmetric, M) == _eig_outcome(helpers.ref_eig_symmetric, M)
+
+
+def _small_admissible(case):
+    if case == "rng0 n=2 N=12 times 2^-40":
+        A = bs.sampling.random_band_matrix(np.random.default_rng(0), 2, 12)
+        return bs.BandMatrix(2, 12, tuple(tuple(v * 2.0**-40 for v in d) for d in A.diags))
+    return bs.BandMatrix(1, 3, ((1e-300,) * 3, (1e-300,) * 2))
+
+
+# The class is closed under A -> c A, c > 0, so a small matrix that
+# validate_band accepts must not be refused as a class violation.  The
+# merge window's absolute floor joins distinct eigenvalues of these two
+# ("merged jump ranks sum to 2, expected 12" and "sum to 1, expected
+# 3"); a scale-free window makes them pass.
+@pytest.mark.xfail(strict=True, raises=bs.errors.MembershipViolation,
+                   reason="the node merge window has an absolute floor")
+@pytest.mark.parametrize("case", ["rng0 n=2 N=12 times 2^-40", "n=1 N=3 entries 1e-300"])
+def test_small_admissible_matrix_is_no_class_violation(case):
+    A = _small_admissible(case)
+    bs.validate_band(A)
+    try:
+        bs.canonical_spectral_function(A)
+    except NumericalDecisionError:
+        pass
