@@ -38,7 +38,7 @@ the scale probe that draws n = rng.integers(1, 5), N =
 rng.integers(n + 2, 25) and `random_band_matrix(rng, n, N)` from one
 `default_rng(3)`, under T = [[1/64]] (n = 1, N = 22; 1.78e-7 off,
 cond 1.33e7).  A fix to the gate shows as these rows moving.  That
-makes 433 cases in all.
+makes 353 inverse cases.
 
 Then come 36 direct-side cases: hand-built spectral functions with
 exact ties, near-tie chains, underflowing and overflowing weights,
@@ -61,7 +61,7 @@ run, every level forced, j0 = n - 1, NaN and -0.0 as cuts, +inf inside
 a run and negative entries where the class leaves them free.  Each row
 holds the `validate_band` verdict: [m, j0, empty_runs], or the error
 class and message.  These rows need only `BandMatrix` and
-`validate_band`.
+`validate_band`.  That makes 433 cases in all.
 
 Only write mode imports `bandspec`; `--compare` runs without it.
 

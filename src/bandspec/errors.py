@@ -10,8 +10,8 @@ Three families matter to callers (and to the CLI exit-code mapping):
 * ``NumericalDecisionError`` - a tolerance-based decision could not be
   made safely, or the answer would not be accurate (ambiguous
   zero-norm test, iteration cap, an ill-conditioned reconstruction,
-  vanishing denominator, a weight, spring-chain entry or stiffness
-  identity lost to underflow or overflow, a round trip off its
+  vanishing denominator, a weight, eigenvalue, spring-chain entry or
+  stiffness identity lost to underflow or overflow, a round trip off its
   tolerance).  CLI exit code 3.
 """
 
@@ -147,7 +147,9 @@ class NonFiniteEntry(NumericalDecisionError):
     """An entry of a spring chain's mass-weighted matrix is no finite
     float, or the stiffness-ratio identity on finite entries overflows,
     so its residual is no finite float; or the generators of a
-    recurrence overflow at the point where rank_defect evaluates them."""
+    recurrence overflow at the point where rank_defect evaluates them;
+    or an eigenvalue overflows float64 on a finite matrix, in
+    canonical_spectral_function or in a spring chain's frequencies."""
 
 
 class RoundTripDeviation(NumericalDecisionError):

@@ -44,9 +44,10 @@ values, divided by GATE_STEP, estimates the condition number
 Sci. Comput. 15, 1994).  The matrix entries are the same first-pass
 coefficients, of each slot, final once computed, so the answer
 returned is the one the gate measured.  An estimate times the machine
-epsilon above GATE_BOUND raises IllConditioned, and reconstruct raises
-it mid-run once the rows final so far cross the bound, which the
-estimate over all rows would then cross too.
+epsilon above GATE_BOUND is refused: gram_schmidt(sigma, gate=True),
+the run reconstruct makes, raises IllConditioned itself, mid-run once
+the rows final so far cross the bound, which the estimate over all
+rows would then cross too, or at the end.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ GATE_REPLAYS = 5
 GATE_STEP = 1e-10
 GATE_BOUND = 1e-8
 
-#: Final rows of the matrix at a gated run's first look at its partial
-#: estimate (or N / 2 if more), and between later looks.
+#: Final rows of the matrix at a run's first look at its partial
+#: estimate, and between later looks.
 _CHECK_FROM = 32
 _CHECK_EVERY = 8
 
@@ -164,7 +165,7 @@ def height_degeneration_indices(gs):
     return tuple(m)
 
 
-def gram_schmidt(sigma, gate=None):
+def gram_schmidt(sigma, gate=False):
     """Orthonormalize the candidates of band Lanczos against sigma, and
     estimate the condition of the run.
 
@@ -193,11 +194,12 @@ def gram_schmidt(sigma, gate=None):
     sigma : SpectralFunction
         Must satisfy validate_sigma; callers that skip validation get
         undefined error types.
-    gate : callable, optional
-        Called with (cond, rows, N), cond the estimate over the initial
-        values and the first rows of the matrix, once max(32, N // 2)
-        rows are final, every 8 rows after, and at the end (rows = N);
-        it may raise to stop the run.
+    gate : bool
+        Refuse the run once cond times the machine epsilon exceeds
+        GATE_BOUND.  cond is estimated over the initial values and the
+        first rows of the matrix once 32 rows are final, every 8 rows
+        after, and at the end; without gate the estimates are computed
+        all the same and never refuse.
 
     Returns
     -------
@@ -205,6 +207,10 @@ def gram_schmidt(sigma, gate=None):
 
     Raises
     ------
+    IllConditioned
+        Only with gate: an estimate times eps exceeds GATE_BOUND, or a
+        perturbed copy broke down (NaN); the message names the rows read
+        and the margin.
     AmbiguousNorm
         A residual norm fell within a factor 10 of tau, or a candidate's
         squared norm overflowed float64, which makes tau inf.
@@ -242,11 +248,12 @@ def gram_schmidt(sigma, gate=None):
     row = {}  # accepted height -> its row of Q
     gheights, first = [], []
     h = -1
-    check = max(_CHECK_FROM, N // 2) if gate else N  # rows of P at the next look
+    check = _CHECK_FROM  # rows of P at the next look
     done, worst = 0, 0.0  # rows of P in worst, and their largest change
 
     def estimate(rows):
-        """cond over the initial values and rows 0 .. rows - 1 of P."""
+        """cond over the initial values and rows 0 .. rows - 1 of P;
+        with gate, refuse it when it crosses the bound."""
         nonlocal done, worst
         if not done:
             worst = np.abs(F[1:] - F[0]).max()
@@ -254,7 +261,21 @@ def gram_schmidt(sigma, gate=None):
         np.abs(A, out=A)
         A *= _lower(N)[done:rows]  # each pair once
         worst, done = np.maximum(worst, scale * A.max()), rows
-        return float(worst) / GATE_STEP
+        cond = float(worst) / GATE_STEP
+        if gate:
+            eps = float(np.finfo(float).eps)
+            if cond != cond:
+                raise IllConditioned(
+                    "condition estimate nan after %d of %d rows: a perturbed copy "
+                    "of the input broke down" % (rows, N)
+                )
+            if not cond * eps <= GATE_BOUND:
+                raise IllConditioned(
+                    "condition estimate %.3g after %d of %d rows: cond * eps = %.3g "
+                    "exceeds the bound %g by %.3gx"
+                    % (cond, rows, N, cond * eps, GATE_BOUND, cond * eps / GATE_BOUND)
+                )
+        return cond
 
     # a copy that breaks down shows as NaN in cond; the input's slot
     # never divides by a norm below 10 tau
@@ -273,7 +294,7 @@ def gram_schmidt(sigma, gate=None):
                 if m is None:
                     continue  # the residue class of h is dead
                 if m == check:  # rows 0 .. m - 1 of P are final
-                    gate((estimate(m), m, N))
+                    estimate(m)
                     check += _CHECK_EVERY
                 v = y * Q[:, m, None]
             tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
@@ -327,8 +348,6 @@ def gram_schmidt(sigma, gate=None):
                 % (len(row), N)
             )
         cond = estimate(N)
-    if gate:
-        gate((cond, N, N))
     values, coefficients, consts = Q[0].copy(), P[0].copy(), F[0].copy()
     values.flags.writeable = coefficients.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
@@ -365,32 +384,6 @@ def _lower(N):
     tri = np.tri(N)
     tri.flags.writeable = False
     return tri
-
-
-def _gate(estimate):
-    """Refuse a run whose answer the input data do not determine to the
-    accuracy bound: cond, the condition estimate over the first rows of
-    the N rows of the matrix, estimate = (cond, rows, N) (see
-    gram_schmidt), times the machine epsilon must not exceed GATE_BOUND.
-
-    Raises
-    ------
-    IllConditioned
-        cond * eps exceeds GATE_BOUND, or a perturbed copy broke down.
-    """
-    cond, rows, N = estimate
-    eps = float(np.finfo(float).eps)
-    if cond != cond:
-        raise IllConditioned(
-            "condition estimate nan after %d of %d rows: a perturbed copy "
-            "of the input broke down" % (rows, N)
-        )
-    if not cond * eps <= GATE_BOUND:
-        raise IllConditioned(
-            "condition estimate %.3g after %d of %d rows: cond * eps = %.3g "
-            "exceeds the bound %g by %.3gx"
-            % (cond, rows, N, cond * eps, GATE_BOUND, cond * eps / GATE_BOUND)
-        )
 
 
 def matrix_from_basis(sigma, gs):
@@ -476,10 +469,11 @@ def initial_conditions(gs):
 def reconstruct(sigma):
     """Full inverse problem: spectral function to band matrix.
 
-    Validates sigma, orthogonalizes while gating the run on its
-    condition estimate, extracts the matrix and the initial-value matrix, and
-    cross-checks the degeneration profile found in the matrix's zero
-    pattern against the one implied by the generator heights.
+    Validates sigma, orthogonalizes with the conditioning gate on
+    (gram_schmidt(sigma, gate=True)), extracts the matrix and the
+    initial-value matrix, and cross-checks the degeneration profile
+    found in the matrix's zero pattern against the one implied by the
+    generator heights.
 
     Returns
     -------
@@ -490,15 +484,16 @@ def reconstruct(sigma):
     IllConditioned
         The conditioning gate estimates that the input does not
         determine the matrix or the initial values to the accuracy
-        bound; raised before any band or profile check, mid-run once
-        the matrix rows final so far cross the bound.
+        bound; raised by gram_schmidt, so before any band or profile
+        check, mid-run once the matrix rows final so far cross the
+        bound.
     ProfileMismatch
         The reconstructed matrix's zero pattern disagrees with the
         height-derived degeneration indices (or fails band validation
         outright).
     """
     validate_sigma(sigma)
-    gs = gram_schmidt(sigma, _gate)
+    gs = gram_schmidt(sigma, gate=True)
     A = matrix_from_basis(sigma, gs)
     try:
         profile = validate_band(A)

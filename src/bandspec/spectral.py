@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     MembershipViolation,
     NoConvergence,
+    NonFiniteEntry,
     NotSymmetric,
     RankSumMismatch,
     ValidationError,
@@ -182,6 +183,10 @@ def canonical_spectral_function(A):
         An eigenvector's first n entries all came out as exactly 0.0.
         Admissible matrices have no zero jump, so this is a numerical
         limit (typically a strongly localized eigenvector at large N).
+    NonFiniteEntry
+        An eigenvalue or its coefficient vector came out as no finite
+        float: the eigenvalues of a matrix with entries near the float64
+        limit overflow (1e308 entries at n = 1, N = 2 give 2e308).
     """
     validate_band(A)
     dec = eig_symmetric(to_dense(A))
@@ -197,6 +202,14 @@ def canonical_spectral_function(A):
             % (k + 1, float(sigma.x[k]), A.n)
         ) from exc
     except ValidationError as exc:
+        bad = ~(np.isfinite(sigma.x) & np.isfinite(sigma.alpha).all(1))
+        if bad.any():
+            k = int(bad.argmax())
+            raise NonFiniteEntry(
+                "eigenvalue %d of %d is %r with coefficient vector %r: the "
+                "eigensolver overflowed float64"
+                % (k + 1, A.N, float(sigma.x[k]), sigma.alpha[k].tolist())
+            ) from exc
         raise MembershipViolation(
             "constructed spectral function fails validation: %s" % exc
         ) from exc

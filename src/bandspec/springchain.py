@@ -133,6 +133,10 @@ def frequencies(A):
     ------
     NoConvergence
         If the eigensolver fails.
+    NonFiniteEntry
+        If an eigenvalue is no finite float: springs near the float64
+        limit make the eigenvalues overflow, although every entry is
+        finite.
     """
     import numpy as np
 
@@ -140,6 +144,13 @@ def frequencies(A):
         values = np.linalg.eigvalsh(to_dense(A))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigensolver did not converge: %s" % exc) from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise NonFiniteEntry(
+            "eigenvalue %d of %d of the mass-weighted matrix is %r: the "
+            "eigensolver overflowed float64" % (k + 1, len(values), float(values[k]))
+        )
     return tuple(sorted(math.sqrt(abs(float(v))) for v in values))
 
 

@@ -266,6 +266,30 @@ def test_inverse_refuses_nodes_near_the_float_limit_as_numerical(tmp_path):
     assert "RuntimeWarning" not in proc.stderr and "not an admissible" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["direct", "roundtrip"])
+def test_overflowed_eigenvalue_exits_three(tmp_path, command):
+    # validate accepts the matrix; its eigenvalue 2e308 overflows
+    matrix = write(tmp_path, "big.json",
+                   '{"n": 1, "N": 2, "diags": [[1e308, 1e308], [1e308]]}')
+    assert main(["validate", matrix]) == 0
+    proc = subprocess.run([sys.executable, "-m", "bandspec", command, matrix],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: NonFiniteEntry: eigenvalue 2 of 2 is inf")
+    assert "Traceback" not in proc.stderr
+
+
+def test_spring_refuses_overflowed_frequency(tmp_path, capsys):
+    # finite entries, but the eigenvalue of the third frequency, about
+    # -2.7e308, overflows
+    chain = write(tmp_path, "chain.json", '{"masses": [1.0, 1.0, 1.0], '
+                  '"k": [8e307, 8e307, 8e307, 8e307], "kp": [0.0, 0.0, 0.0]}')
+    assert main(["spring", chain]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: NonFiniteEntry: eigenvalue 1 of 3")
+    assert "inf" not in captured.out
+
+
 def test_inverse_reports_undecidable_residual(tmp_path, capsys):
     r = 1.0 / math.sqrt(2.0)
     sig = bs.SpectralFunction(1, [(-1.0, (r,)), (0.0, (1e-8,)), (1.0, (r,))])

@@ -410,8 +410,7 @@ def test_gate_refuses_before_band_checks(monkeypatch):
     sig = bs.canonical_spectral_function(bs.sampling.random_band_matrix(rng, n, N))
     with pytest.raises(IllConditioned):
         bs.reconstruct(sig)
-    monkeypatch.setattr(sys.modules["bandspec.reconstruct"], "_gate",
-                        lambda gs: None)
+    monkeypatch.setattr(sys.modules["bandspec.reconstruct"], "GATE_BOUND", math.inf)
     with pytest.raises(ProfileMismatch):
         bs.reconstruct(sig)
 
@@ -586,6 +585,11 @@ def test_gate_message_names_rows_and_margin():
     with pytest.raises(IllConditioned) as early:
         bs.reconstruct(sig)
     assert _gate_message(early.value)[1:] == (40, 64)
+    # above the caps the first look still comes after 32 rows
+    A = bs.sampling.random_band_matrix(np.random.default_rng((3, 1, 96)), 1, 96)
+    with pytest.raises(IllConditioned) as early:
+        bs.reconstruct(bs.canonical_spectral_function(A))
+    assert _gate_message(early.value)[1:] == (32, 96)
     # a refusal at the last row: only the initial values cross the
     # bound (test_gate_weighs_the_initial_values), and N = 10 has no
     # earlier check
@@ -634,7 +638,9 @@ def test_reconstruct_gates_the_full_run(data):
     the full run, gram_schmidt without a gate, and then returns, bit
     for bit, what matrix_from_basis and initial_conditions give on that
     run, with the same cond; otherwise it raises IllConditioned, before
-    the last row or at it, or the loop's own refusal."""
+    the last row or at it, or the loop's own refusal.  The gated run,
+    gram_schmidt(sig, gate=True), raises what reconstruct raises or
+    returns the same cond."""
     n = data.draw(st.integers(min_value=1, max_value=8))
     N = data.draw(st.integers(min_value=n + 1, max_value=64))
     j0 = data.draw(st.integers(min_value=0, max_value=n - 1 if N >= n + 2 else 0))
@@ -646,22 +652,28 @@ def test_reconstruct_gates_the_full_run(data):
     except bs.errors.BandSpecError:
         return
     try:
+        gated = bs.gram_schmidt(sig, gate=True).cond.hex()
+    except NumericalDecisionError as exc:
+        gated = (type(exc), str(exc))
+    try:
         full = bs.gram_schmidt(sig)
     except NumericalDecisionError as exc:
         with pytest.raises(NumericalDecisionError) as got:
             bs.reconstruct(sig)
+        assert gated == (type(got.value), str(got.value))
         if not isinstance(got.value, IllConditioned):
             assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         return
     if not full.cond * np.finfo(float).eps <= GATE_BOUND:
         with pytest.raises(IllConditioned) as got:
             bs.reconstruct(sig)
+        assert gated == (type(got.value), str(got.value))
         if not math.isnan(full.cond):
             assert _gate_message(got.value)[2] == N
         return
     rec = bs.reconstruct(sig)
     gs = rec.diagnostics
-    assert gs.cond.hex() == full.cond.hex()
+    assert gs.cond.hex() == full.cond.hex() == gated
     assert (gs.basis_heights, gs.generator_heights, gs.iterations) == (
         full.basis_heights, full.generator_heights, full.iterations)
     assert gs.values.tobytes() == full.values.tobytes()

@@ -5,6 +5,7 @@ name fails here, not when someone next runs the script.
 """
 
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -46,6 +47,24 @@ def test_fingerprint_write_mode_covers_every_case(tmp_path):
     rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     assert len(rows) == 433
     assert all("case" in row for row in rows)
+    # 332 grid and 21 off-grid inverse cases, then the direct, sampler
+    # and band cases, each kind in one run
+    kinds = [row["case"].split(": ")[0] if ": " in row["case"] else "grid" for row in rows]
+    assert [(kind, len(list(run))) for kind, run in itertools.groupby(kinds)] == [
+        ("grid", 332), ("inverse", 21), ("direct", 36), ("sampler", 28), ("band", 16)]
     proc = subprocess.run([sys.executable, script, "--compare", str(out), str(out)],
                           env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_perfbench_span_names_resolve():
+    # the benchmark's tracer wraps these (module, function) pairs; a
+    # library change that deletes or renames one fails here, not in a
+    # traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "spans", SCRIPTS.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(mod, name) for mod, names in spans.TRACED for name in names
+               if not callable(getattr(importlib.import_module("bandspec." + mod), name, None))]
+    assert spans.TRACED and not missing

@@ -12,6 +12,7 @@ import bandspec as bs
 from bandspec.errors import (
     DeadComponent,
     DimensionMismatch,
+    NonFiniteEntry,
     NotSymmetric,
     NumericalDecisionError,
     RankSumMismatch,
@@ -194,6 +195,20 @@ def test_underflowed_weight_is_a_numerical_refusal():
         bs.canonical_spectral_function(A)
     assert isinstance(info.value, NumericalDecisionError)
     assert not isinstance(info.value, ValidationError)
+
+
+def test_overflowed_eigenvalue_is_a_numerical_refusal():
+    # the matrix is finite and admissible, but its eigenvalue 2e308 is
+    # not a float64: exit 3 naming the eigenvalue, not a class violation
+    A = bs.BandMatrix(1, 2, ((1e308, 1e308), (1e308,)))
+    bs.validate_band(A)
+    with pytest.raises(NonFiniteEntry, match=r"^eigenvalue 2 of 2 is inf with coefficient "
+                                             r"vector \[0\.7071067811865475\]: the "
+                                             r"eigensolver overflowed float64$"):
+        bs.canonical_spectral_function(A)
+    # nodes near the float limit that stay finite come through
+    A = bs.BandMatrix(1, 3, ((1e308, -1e308, 1e308), (1e308, 1e308)))
+    assert np.isfinite(bs.canonical_spectral_function(A).x).all()
 
 
 def test_validate_sigma_rejects_rank_mismatch():

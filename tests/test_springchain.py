@@ -198,6 +198,17 @@ def test_stiffness_identity_refuses_non_finite_entry(mass):
         bs.continued_fraction_check(chain, 2)
 
 
+def test_frequencies_refuse_overflowed_eigenvalue():
+    # every entry is finite, but the eigenvalue -2.7e308 is not a
+    # float64: refused by name, never printed as an inf frequency
+    chain = bs.SpringChain((1.0,) * 3, (8e307,) * 4, (0.0,) * 3)
+    A = bs.build_spring_matrix(chain)
+    with pytest.raises(NonFiniteEntry, match=r"^eigenvalue 1 of 3 of the mass-weighted "
+                                             r"matrix is -inf: the eigensolver "
+                                             r"overflowed float64$"):
+        bs.frequencies(A)
+
+
 # every entry finite, but the numerator term in d2_2 d2_1 overflows to inf
 OVERFLOWING_IDENTITY = bs.SpringChain(
     (2.1071550212975667e-111, 9.162050999638212e-111, 1.6042562583281628e-111,
