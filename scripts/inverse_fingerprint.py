@@ -63,16 +63,28 @@ holds the `validate_band` verdict: [m, j0, empty_runs], or the error
 class and message.  These rows need only `BandMatrix` and
 `validate_band`.  That makes 433 cases in all.
 
+With `--workloads SEEDS` (comma-separated) write mode writes, instead
+of those cases, one inverse row per instance of the benchmark's
+`roundtrip_desk` and `inverse_limit` workloads, as
+`perfbench/workloads.build(name, seed, None, None)` draws them for each
+seed in turn: the direct problem and the initial-value transform of the
+instance, then the same fields as the inverse cases.  That is 446 rows
+per seed, for a bit-for-bit check of every input the benchmark
+reconstructs.
+
 Only write mode imports `bandspec`; `--compare` runs without it.
 
     python3 scripts/inverse_fingerprint.py parent.jsonl
     python3 scripts/inverse_fingerprint.py change.jsonl
     python3 scripts/inverse_fingerprint.py --compare parent.jsonl change.jsonl
+    python3 scripts/inverse_fingerprint.py --workloads 0,1,2 parent.jsonl
 """
 
 import argparse
 import collections
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -99,17 +111,36 @@ def fingerprint(key):
     _, n, N, j0, with_t = key
     rng = np.random.default_rng(key)
     A = bs.sampling.random_band_matrix(rng, n, N, j0=j0)
-    row = {"case": "n=%d N=%d j0=%d T=%d" % (n, N, j0, with_t)}
+    T = bs.sampling.random_tinit(rng, n) if with_t else None
+    return round_trip_fingerprint({"case": "n=%d N=%d j0=%d T=%d" % (n, N, j0, with_t)}, A, T)
+
+
+def round_trip_fingerprint(row, A, T):
+    """row with the refusal of the direct problem of A under T (None for
+    the identity), or with inverse_fingerprint of its spectral function."""
     try:
         sigma = bs.canonical_spectral_function(A)
-        if with_t:
-            sigma = bs.transform_spectral_function(
-                sigma, bs.sampling.random_tinit(rng, n))
+        if T is not None:
+            sigma = bs.transform_spectral_function(sigma, T)
     except bs.errors.BandSpecError as exc:
         row["refusal"] = type(exc).__name__
         row["message"] = str(exc)
         return row
     return inverse_fingerprint(row, sigma)
+
+
+def workload_rows(seeds):
+    """One inverse row per instance of the roundtrip_desk and
+    inverse_limit workloads at each seed, in the benchmark's timing
+    order."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    for seed in seeds:
+        for name in ("roundtrip_desk", "inverse_limit"):
+            instances, _, _ = workloads.build(name, seed, None, None)
+            for k, inst in enumerate(instances):
+                row = {"case": "workload: %s seed=%d #%d %s" % (name, seed, k, inst.cell)}
+                yield round_trip_fingerprint(row, inst.A, inst.T)
 
 
 def inverse_fingerprint(row, sigma):
@@ -278,10 +309,14 @@ def band_fingerprint(name, n, N, diags):
     return row
 
 
-def write(path):
+def write(path, seeds=None):
     global bs
     import bandspec as bs
     with open(path, "w", encoding="utf-8") as fh:
+        if seeds is not None:
+            for row in workload_rows(seeds):
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+            return
         for key in cases():
             fh.write(json.dumps(fingerprint(key), sort_keys=True) + "\n")
         for name, sigma in off_grid_cases():
@@ -341,11 +376,15 @@ def main():
     ap.add_argument("output", nargs="?", help="file to write the fingerprint to")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two fingerprint files instead")
+    ap.add_argument("--workloads", metavar="SEEDS",
+                    type=lambda text: [int(v) for v in text.split(",")],
+                    help="write the benchmark's inverse workload instances at "
+                         "these comma-separated seeds instead of the fixed cases")
     args = ap.parse_args()
     if args.compare:
         raise SystemExit(0 if compare(*args.compare) else 1)
     elif args.output:
-        write(args.output)
+        write(args.output, args.workloads)
     else:
         ap.error("give an output file or --compare A B")
 

@@ -13,6 +13,7 @@ Validation needs no numpy: it is imported where a dense array is made.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -154,6 +155,9 @@ def validate_band(A):
     LeadingZero
         d^(n)_1 is not positive (NaN included): the first degeneration
         would sit at position 1, in violation of 1 < m_1 <= N-n+1.
+    ValidationError
+        n < 1, or an entry is infinite or NaN (the message names the
+        first one, diagonal by diagonal from the main one).
     NegativeConstrainedEntry, NonContiguousPositiveRun
         Sign-pattern violations inside a constrained range.
     InnermostDegeneration
@@ -168,6 +172,13 @@ def validate_band(A):
             "d^(%d)_1 = %r violates 1 < m_1 < N-n+1: the outermost diagonal "
             "must start with a positive entry" % (n, A.diags[n][0])
         )
+    for j, d in enumerate(A.diags):
+        # the sum of finite entries may overflow, so look closer then
+        if not math.isfinite(sum(d)):
+            for k, v in enumerate(d, 1):
+                if not math.isfinite(v):
+                    raise ValidationError("d^(%d)_%d = %r is not a finite number"
+                                          % (j, k, v))
     m = []
     empty_runs = []
     prev = 0  # m_0

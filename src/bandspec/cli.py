@@ -117,7 +117,7 @@ def cmd_inverse(args):
           % ", ".join(str(h) for h in gs.generator_heights))
     print("height sum: %d (expected %d)"
           % (sum(gs.generator_heights), N * n + n * (n - 1) // 2))
-    print("candidates consumed: %d" % gs.iterations)
+    print("heights consumed: %d" % gs.iterations)
     print("condition estimate: %.3g (cond * eps = %.3g, bound %g)"
           % (gs.cond, gs.cond * sys.float_info.epsilon, GATE_BOUND))
 

@@ -4,18 +4,19 @@ The inverse route is band Lanczos with deflation over node values.  A
 vector polynomial p is carried by its values alpha(x_l) . p(x_l) at
 the N jumps, so the degenerate inner product is a dot product of
 length-N vectors and multiplication by the variable is a pointwise
-product with the nodes.  The candidate at height h < n is the constant
-e_{h+1}, with node values alpha[:, h]; above that it is the variable
-times the basis member at height h - n, the Krylov form of the
-recurrence A r(z) = z r(z).  Each candidate is orthogonalized against
-every accepted member by two block classical Gram-Schmidt passes.
-Exactly N candidates survive with positive norm (the orthonormal
-basis).  A candidate that collapses to norm zero is a generator of the
-zero class; its height residue class mod n is then dead and yields no
-further candidates, so the n generators have distinct residues.  The
-band matrix is the representation of multiplication by the variable
-in the basis, and the initial value matrix holds the constants of the
-first n members.
+product with the nodes.  The run walks the candidates: the n constants,
+then the variable times each member in order, the Krylov form of the
+recurrence A r(z) = z r(z).  The constant e_{h+1}, with node values
+alpha[:, h], has height h, and the variable times the member at height
+h has height h + n, so the heights ascend.  Each candidate is
+orthogonalized against every accepted member by two block classical
+Gram-Schmidt passes.  Exactly N candidates survive with positive norm
+(the orthonormal basis).  A candidate that collapses to norm zero is a
+generator of the zero class and makes no member, so its height residue
+class mod n yields no further candidates and the n generators have
+distinct residues.  The band matrix is the representation of
+multiplication by the variable in the basis, and the initial value
+matrix holds the constants of the first n members.
 
 Internally all nodes are mapped affinely onto [-1, 1].  The scaled
 variable
@@ -106,8 +107,8 @@ class Orthogonalization:
     (row_j . row_k is exactly <p_j, p_k>), for diagnostics and tests:
     no later stage reads it.  Column h of first_block holds the
     constants of the member at height h < n (zeros if that height fell
-    into the zero class).  iterations counts the heights consumed,
-    including those skipped in dead residue classes.  node_scale and
+    into the zero class).  iterations is one more than the last
+    candidate's height, the n-th generator's on a return.  node_scale and
     node_center give the input's node frame, which every slot of the
     gate ran in.  cond is the gate's condition estimate of the run, over
     every row of the matrix (NaN if a perturbed copy broke down).
@@ -169,16 +170,16 @@ def gram_schmidt(sigma, gate=False):
     """Orthonormalize the candidates of band Lanczos against sigma, and
     estimate the condition of the run.
 
-    Walks the heights 0, 1, 2, ...: the candidate at height h < n is
-    the constant e_{h+1}, above that it is y times the basis member at
-    height h - n, and a height whose class has died is skipped.  Each
-    candidate gets two block Gram-Schmidt passes on the node values;
-    only the first n members become polynomials, for their constants,
-    each when its height is accepted.  Each residual norm is compared
-    against tau = DEFLATION_TOL * sqrt(|candidate|^2 + 1): above 10 tau
-    it joins the basis (normalized), below tau / 10 it is a generator
-    of the zero class and its residue mod n dies, and anything in
-    between stops the computation rather than guess.
+    Walks the candidates: the n constants, then y times each member in
+    order; the constant e_{h+1} has height h, and y times the member at
+    height h has height h + n.  Each candidate gets two block
+    Gram-Schmidt passes on the node values; only the first n members
+    become polynomials, for their constants, each when its height is
+    accepted.  Each residual norm is compared against
+    tau = DEFLATION_TOL * sqrt(|candidate|^2 + 1): above 10 tau it joins
+    the basis (normalized), below tau / 10 it is a generator of the
+    zero class and its residue mod n dies, and anything in between
+    stops the computation rather than guess.
 
     The gate's perturbed copies (see the module docstring) are slots
     stacked behind the input's, slot 0, which alone decides for all of
@@ -245,10 +246,8 @@ def gram_schmidt(sigma, gate=False):
     Q, P = np.zeros((2, GATE_REPLAYS + 1, N, N))
     Qt = Q.swapaxes(1, 2)  # a view: it sees every row stored later
     F = np.zeros((GATE_REPLAYS + 1, n, n))  # every slot's initial values
-    row = {}  # accepted height -> its row of Q
-    gheights, first = [], []
-    h = -1
-    check = _CHECK_FROM  # rows of P at the next look
+    heights, gheights, first = [], [], []  # heights[r] is that of row r of Q
+    t = -1  # the candidate: e_{t+1} for t < n, then y Q_m for m = t - n
     done, worst = 0, 0.0  # rows of P in worst, and their largest change
 
     def estimate(rows):
@@ -281,21 +280,19 @@ def gram_schmidt(sigma, gate=False):
     # never divides by a norm below 10 tau
     with np.errstate(all="ignore"):
         while len(gheights) < n:
-            h += 1
-            if h >= cap:
-                raise IterationCapExceeded(
-                    "consumed %d heights (cap %d) with %d basis members and "
-                    "%d generators" % (h + 1, cap, len(row), len(gheights))
-                )
-            if h < n:
-                v = consts_of[h]
+            t += 1
+            if t < n:
+                h, v = t, consts_of[t]
             else:
-                m = row.get(h - n)
-                if m is None:
-                    continue  # the residue class of h is dead
-                if m == check:  # rows 0 .. m - 1 of P are final
-                    estimate(m)
-                    check += _CHECK_EVERY
+                m = t - n  # each member makes one candidate, in height order
+                h = heights[m] + n
+                if h >= cap:
+                    raise IterationCapExceeded(
+                        "consumed %d heights (cap %d) with %d basis members and "
+                        "%d generators" % (cap + 1, cap, len(heights), len(gheights))
+                    )
+                if m >= _CHECK_FROM and (m - _CHECK_FROM) % _CHECK_EVERY == 0:
+                    estimate(m)  # rows 0 .. m - 1 of P are final
                 v = y * Q[:, m, None]
             tau = DEFLATION_TOL * math.sqrt(float(np.vdot(v[0], v[0])) + 1.0)
             if tau == math.inf:
@@ -303,7 +300,7 @@ def gram_schmidt(sigma, gate=False):
                     "candidate at height %d has a squared norm that overflows "
                     "float64, so its zero threshold is inf" % h
                 )
-            r = len(row)
+            r = len(heights)
             Qr, Qtr = Q[:, :r], Qt[:, :, :r]
             p = v @ Qtr if h < n else np.matmul(v, Qtr, out=P[:, m, None, :r])
             # two block CGS passes, then every slot's squared residual norm
@@ -324,7 +321,7 @@ def gram_schmidt(sigma, gate=False):
                     c = p + q
                     # column h of the copies' initial values: every
                     # member so far is a constant at a lower height
-                    col = -(F[1:, :, list(row)] @ c[1:].swapaxes(1, 2))[:, :, 0]
+                    col = -(F[1:, :, heights] @ c[1:].swapaxes(1, 2))[:, :, 0]
                     col[:, h] += 1.0
                     F[1:, :, h] = col / nrms[1:, 0]
                     # the input's member: e_{h+1} minus its projections
@@ -334,7 +331,7 @@ def gram_schmidt(sigma, gate=False):
                     # the one-term linear_combine, whose + 0.0 turns -0.0 into 0.0
                     first.append(vecpoly._canonical(n, (1.0 / nrm) * cand.coef + 0.0))
                     F[0, :h + 1, h] = first[-1].coef
-                row[h] = r
+                heights.append(h)
             elif nrm < 0.1 * tau:
                 gheights.append(h)
             else:
@@ -342,16 +339,16 @@ def gram_schmidt(sigma, gate=False):
                     "candidate at height %d has residual norm %r within a "
                     "factor 10 of the zero threshold %r" % (h, nrm, tau)
                 )
-        if len(row) != N:
+        if len(heights) != N:
             raise IterationCapExceeded(
                 "every residue class died with %d of %d basis members"
-                % (len(row), N)
+                % (len(heights), N)
             )
         cond = estimate(N)
     values, coefficients, consts = Q[0].copy(), P[0].copy(), F[0].copy()
     values.flags.writeable = coefficients.flags.writeable = consts.flags.writeable = False
     return Orthogonalization(
-        basis_heights=tuple(row),
+        basis_heights=tuple(heights),
         generator_heights=tuple(gheights),
         iterations=h + 1,
         node_scale=float(scale),

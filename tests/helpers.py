@@ -422,7 +422,8 @@ def ref_to_dense(A):
 def ref_validate_band(A):
     """validate_band as a state machine over each level's scan range:
     before the cut an entry must be positive, the first one that is not
-    is the cut, and after it every entry must be zero."""
+    is the cut, and after it every entry must be zero.  Every entry must
+    be finite."""
     n, N = A.n, A.N
     if n < 1:
         raise ValidationError("class membership needs n >= 1")
@@ -431,6 +432,10 @@ def ref_validate_band(A):
             "d^(%d)_1 = %r violates 1 < m_1 < N-n+1: the outermost diagonal "
             "must start with a positive entry" % (n, A.diags[n][0])
         )
+    bad = [(j, k, v) for j, d in enumerate(A.diags)
+           for k, v in enumerate(d, 1) if not abs(v) < math.inf]
+    if bad:
+        raise ValidationError("d^(%d)_%d = %r is not a finite number" % bad[0])
     m = []
     empty_runs = []
     j0 = None

@@ -304,24 +304,30 @@ def test_solve_recurrence_matches_reference(n, data):
 
 
 def test_solve_recurrence_non_finite_entry_fills_the_row():
-    """+inf inside a positive run passes validate_band and turns some
-    coefficients into NaN.  Members that stay finite equal the
-    reference's byte for byte; a member with a NaN is NaN out to the
-    coefficient array's full width n(N - n + 2) = 12, so its height is
-    11 where the reference's stops at its own."""
+    """+inf inside a positive run is refused by validate_band, before
+    solve_recurrence computes a coefficient."""
     inf = float("inf")
     A = bs.BandMatrix(2, 6, ((0.0,) * 6, (0.5,) * 5, (1.0, inf, 0.0, 0.0)))
-    T = bs.TriangularInit.identity(2)
-    with np.errstate(invalid="ignore"):
-        got, want = bs.solve_recurrence(A, T), helpers.ref_solve_recurrence(A, T)
-    members = list(zip(got.basis + got.generators, want.basis + want.generators))
-    for p, q in members:
-        if np.all(np.isfinite(q.coef)):
-            assert p.coef.tobytes() == q.coef.tobytes()
-        else:
-            assert np.isnan(p.coef[-1])
-    assert [bs.height(p) for p, _ in members] == [0, 1, 2, bs.NEG_INF, 11, 11, 4, 11]
-    assert [bs.height(q) for _, q in members] == [0, 1, 2, bs.NEG_INF, 2, 4, 4, 6]
+    with pytest.raises(bs.errors.ValidationError,
+                       match=r"^d\^\(2\)_2 = inf is not a finite number$"):
+        bs.solve_recurrence(A, bs.TriangularInit.identity(2))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_validate_band_refuses_a_non_finite_entry(bad):
+    # a class violation (exit 2), refused before the direct problem
+    # could misreport it as a numerical limit
+    A = bs.BandMatrix(1, 3, ((1.0, bad, 1.0), (1.0, 1.0)))
+    for run in (bs.validate_band, bs.canonical_spectral_function):
+        with pytest.raises(bs.errors.ValidationError) as info:
+            run(A)
+        assert type(info.value) is bs.errors.ValidationError
+        assert str(info.value) == "d^(0)_2 = %r is not a finite number" % bad
+
+
+def test_validate_band_passes_finite_entries_whose_sum_overflows():
+    A = bs.BandMatrix(1, 3, ((1e308, 1e308, 1e308), (1e308, 1e308)))
+    assert bs.validate_band(A) == bs.DegenerationProfile((3,), 0)
 
 
 def test_solve_recurrence_makes_negative_zero_initial_values_positive():

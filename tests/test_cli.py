@@ -227,7 +227,7 @@ def test_inverse_prints_condition_estimate(tmp_path, capsys):
     assert main(["inverse", path, "-o", str(tmp_path / "back.json")]) == 0
     lines = capsys.readouterr().out.splitlines()
     want = bs.reconstruct(sig).diagnostics.cond
-    assert lines[-2].startswith("candidates consumed:")
+    assert lines[-2].startswith("heights consumed:")
     assert lines[-1] == (
         "condition estimate: %.3g (cond * eps = %.3g, bound 1e-08)"
         % (want, want * np.finfo(float).eps))

@@ -350,6 +350,12 @@ def test_gram_schmidt_returns_satisfy_the_height_sum(case):
         return
     assert len(gs.basis_heights) == N
     assert sum(gs.generator_heights) == N * n + n * (n - 1) // 2
+    # the candidates, the n constants and y times each member in order,
+    # come in height order, each a member or a generator, the last the
+    # n-th generator
+    assert all(a < b for a, b in zip(gs.basis_heights, gs.basis_heights[1:]))
+    assert gs.iterations == gs.generator_heights[-1] + 1
+    assert len(gs.basis_heights) + len(gs.generator_heights) == N + n
 
 
 def test_ambiguous_norm_trigger():

@@ -57,6 +57,24 @@ def test_fingerprint_write_mode_covers_every_case(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_fingerprint_writes_the_workload_instances(tmp_path):
+    # one row per roundtrip_desk and inverse_limit instance at seed 0,
+    # and the file compared with itself agrees everywhere
+    out = tmp_path / "workloads.jsonl"
+    script = str(SCRIPTS / "inverse_fingerprint.py")
+    proc = subprocess.run([sys.executable, script, "--workloads", "0", str(out)], env=ENV,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    names = [row["case"].split(" ")[1] for row in rows]
+    assert [(name, len(list(run))) for name, run in itertools.groupby(names)] == [
+        ("roundtrip_desk", 230), ("inverse_limit", 216)]
+    assert all("sigma" in row for row in rows)
+    proc = subprocess.run([sys.executable, script, "--compare", str(out), str(out)],
+                          env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_perfbench_span_names_resolve():
     # the benchmark's tracer wraps these (module, function) pairs; a
     # library change that deletes or renames one fails here, not in a
